@@ -496,13 +496,21 @@ Kernel::regStats(StatGroup group) const
     index_group.gauge(
         "resync_calls",
         [this] { return double(mem_->contigIndex().resyncCalls()); },
-        "incremental index update calls");
+        "leaf-diff calls (frame ranges re-read into the index)");
     index_group.gauge(
         "frames_rescanned",
         [this] {
             return double(mem_->contigIndex().framesRescanned());
         },
         "frames re-read by index updates");
+    index_group.gauge(
+        "folds",
+        [this] { return double(mem_->contigIndex().folds()); },
+        "deferred tree folds run by index reads");
+    index_group.gauge(
+        "nodes_folded",
+        [this] { return double(mem_->contigIndex().nodesFolded()); },
+        "tree nodes recomputed by deferred folds");
     index_group.gauge(
         "free_pages",
         [this] { return double(mem_->contigIndex().freePages()); });

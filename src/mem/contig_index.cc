@@ -15,6 +15,7 @@ ContigIndex::ContigIndex(const FrameArray &frames)
         const std::uint64_t nodes =
             (n_ + (std::uint64_t{1} << level) - 1) >> level;
         levels_[level - 1].assign(nodes, Node{});
+        queued_[level - 1].assign(nodes, false);
     }
     // Default-constructed frames are neither free nor unmovable, so
     // the zeroed tree already matches them; publish the real state.
@@ -87,9 +88,11 @@ ContigIndex::resync(Pfn lo, Pfn hi)
     ++resyncCalls_;
     framesRescanned_ += hi - lo;
 
-    // Leaf pass: diff the frame truth against the cached snapshot and
-    // apply the page-granular deltas to the machine-wide totals.
-    bool changed = false;
+    // Leaf pass: diff the frame truth against the cached snapshot,
+    // apply the page-granular deltas to the machine-wide totals, and
+    // queue the level-1 node of every frame whose tree bits moved (a
+    // source change alone only moves bySource_).
+    std::vector<bool> &queued = queued_[0];
     for (Pfn pfn = lo; pfn < hi; ++pfn) {
         const std::uint16_t m = frames_.meta(pfn);
         const std::uint8_t bits = leafBits(m);
@@ -100,7 +103,6 @@ ContigIndex::resync(Pfn lo, Pfn hi)
         if (bits == old &&
             (!(bits & LeafUnmovable) || src == leafSrc_[pfn]))
             continue;
-        changed = true;
         freePages_ += static_cast<std::uint64_t>(
             int((bits & LeafFree) != 0) - int((old & LeafFree) != 0));
         unmovablePages_ += static_cast<std::uint64_t>(
@@ -115,22 +117,33 @@ ContigIndex::resync(Pfn lo, Pfn hi)
             ++bySource_[src];
         leaf_[pfn] = bits;
         leafSrc_[pfn] = src;
+        const std::uint64_t node = pfn >> 1;
+        if (bits != old && !queued[node]) {
+            queued[node] = true;
+            dirty_.push_back(node);
+        }
     }
-    if (!changed)
-        return;
+}
 
-    // Fold the change up the tree. At each level the touched node
-    // range is recomputed from the level below; full<->partial and
-    // clean<->tainted transitions of in-machine nodes adjust the
-    // per-order global counters.
-    for (unsigned level = 1; level <= topLevel; ++level) {
+void
+ContigIndex::flush() const
+{
+    if (dirty_.empty())
+        return;
+    ++folds_;
+
+    // Recompute each queued node from the level below; full<->partial
+    // and clean<->tainted transitions of in-machine nodes adjust the
+    // per-order global counters, and only a node that changed queues
+    // its parent.
+    for (unsigned level = 1; level <= topLevel && !dirty_.empty();
+         ++level) {
         std::vector<Node> &nodes = levels_[level - 1];
-        const std::uint64_t i0 = lo >> level;
-        const std::uint64_t i1 =
-            std::min<std::uint64_t>((hi - 1) >> level,
-                                    nodes.size() - 1);
+        std::vector<bool> &queued = queued_[level - 1];
         const std::uint64_t span = std::uint64_t{1} << level;
-        for (std::uint64_t i = i0; i <= i1; ++i) {
+        nextDirty_.clear();
+        for (const std::uint64_t i : dirty_) {
+            queued[i] = false;
             const Node fresh = level == 1
                                    ? nodeFromLeaves(i)
                                    : nodeFromChildren(level, i);
@@ -144,13 +157,35 @@ ContigIndex::resync(Pfn lo, Pfn hi)
                     int(fresh.unmov > 0) - int(node.unmov > 0));
             }
             node = fresh;
+            if (level < topLevel && !queued_[level][i >> 1]) {
+                queued_[level][i >> 1] = true;
+                nextDirty_.push_back(i >> 1);
+            }
         }
+        nodesFolded_ += dirty_.size();
+        dirty_.swap(nextDirty_);
     }
+}
+
+bool
+ContigIndex::operator==(const ContigIndex &other) const
+{
+    flush();
+    other.flush();
+    return n_ == other.n_ && leaf_ == other.leaf_ &&
+           leafSrc_ == other.leafSrc_ &&
+           freePages_ == other.freePages_ &&
+           unmovablePages_ == other.unmovablePages_ &&
+           pinnedPages_ == other.pinnedPages_ &&
+           bySource_ == other.bySource_ &&
+           levels_ == other.levels_ && fullFree_ == other.fullFree_ &&
+           tainted_ == other.tainted_;
 }
 
 std::uint64_t
 ContigIndex::fullyFreeBlocks(unsigned order) const
 {
+    flush();
     if (order == 0)
         return freePages_;
     ctg_assert(order <= topLevel);
@@ -160,6 +195,7 @@ ContigIndex::fullyFreeBlocks(unsigned order) const
 std::uint64_t
 ContigIndex::taintedBlocks(unsigned order) const
 {
+    flush();
     if (order == 0)
         return unmovablePages_;
     ctg_assert(order <= topLevel);
@@ -194,6 +230,7 @@ decompose(Pfn lo, Pfn hi, unsigned top_level, Fn fn)
 std::uint64_t
 ContigIndex::freePagesIn(Pfn lo, Pfn hi) const
 {
+    flush();
     ctg_assert(lo <= hi && hi <= n_);
     if (lo == 0 && hi == n_)
         return freePages_;
@@ -210,6 +247,7 @@ ContigIndex::freePagesIn(Pfn lo, Pfn hi) const
 std::uint64_t
 ContigIndex::unmovablePagesIn(Pfn lo, Pfn hi) const
 {
+    flush();
     ctg_assert(lo <= hi && hi <= n_);
     if (lo == 0 && hi == n_)
         return unmovablePages_;
@@ -227,6 +265,7 @@ ContigIndex::unmovablePagesIn(Pfn lo, Pfn hi) const
 std::uint64_t
 ContigIndex::fullyFreeBlocksIn(Pfn lo, Pfn hi, unsigned order) const
 {
+    flush();
     const Pfn span = Pfn{1} << order;
     ctg_assert(lo % span == 0 && hi % span == 0);
     ctg_assert(lo <= hi && hi <= n_);
@@ -244,6 +283,7 @@ ContigIndex::fullyFreeBlocksIn(Pfn lo, Pfn hi, unsigned order) const
 std::uint64_t
 ContigIndex::taintedBlocksIn(Pfn lo, Pfn hi, unsigned order) const
 {
+    flush();
     const Pfn span = Pfn{1} << order;
     ctg_assert(lo % span == 0 && hi % span == 0);
     ctg_assert(lo <= hi && hi <= n_);
@@ -261,6 +301,7 @@ ContigIndex::taintedBlocksIn(Pfn lo, Pfn hi, unsigned order) const
 std::uint32_t
 ContigIndex::nodeFreePages(unsigned order, std::uint64_t index) const
 {
+    flush();
     ctg_assert(order >= 1 && order <= topLevel);
     ctg_assert(index < levels_[order - 1].size());
     return levels_[order - 1][index].free;
@@ -270,6 +311,7 @@ std::uint32_t
 ContigIndex::nodeUnmovablePages(unsigned order,
                                 std::uint64_t index) const
 {
+    flush();
     ctg_assert(order >= 1 && order <= topLevel);
     ctg_assert(index < levels_[order - 1].size());
     return levels_[order - 1][index].unmov;
@@ -278,6 +320,7 @@ ContigIndex::nodeUnmovablePages(unsigned order,
 std::uint64_t
 ContigIndex::movableMtPagesIn(Pfn lo, Pfn hi) const
 {
+    flush();
     ctg_assert(lo <= hi && hi <= n_);
     std::uint64_t total = 0;
     decompose(lo, hi, topLevel,
@@ -293,6 +336,7 @@ ContigIndex::movableMtPagesIn(Pfn lo, Pfn hi) const
 ContigIndex::BlockClass
 ContigIndex::blockClass(Pfn pfn) const
 {
+    flush();
     ctg_assert(pfn < n_);
     const std::uint64_t index = pfn >> hugeOrder;
     const Node &node = levels_[hugeOrder - 1][index];
@@ -310,6 +354,7 @@ ContigIndex::blockClass(Pfn pfn) const
 std::uint64_t
 ContigIndex::mixedBlocksIn(Pfn lo, Pfn hi) const
 {
+    flush();
     ctg_assert(lo % pagesPerHuge == 0 && hi % pagesPerHuge == 0);
     ctg_assert(lo <= hi && hi <= n_);
     std::uint64_t total = 0;
@@ -350,6 +395,7 @@ ContigIndex::findMixedRec(unsigned level, std::uint64_t index, Pfn lo,
 Pfn
 ContigIndex::firstMixedBlock(Pfn lo, Pfn hi) const
 {
+    flush();
     ctg_assert(lo % pagesPerHuge == 0 && hi % pagesPerHuge == 0);
     ctg_assert(lo <= hi && hi <= n_);
     if (lo >= hi)
@@ -397,6 +443,7 @@ Pfn
 ContigIndex::firstFullyFreeSpan(unsigned order, Pfn lo, Pfn hi,
                                 AddrPref pref) const
 {
+    flush();
     ctg_assert(order <= topLevel);
     ctg_assert(lo <= hi && hi <= n_);
     const Pfn span = Pfn{1} << order;
@@ -508,6 +555,7 @@ ContigIndex::findFrame(Pfn lo, Pfn hi, bool highest,
 Pfn
 ContigIndex::firstAllocatedFrame(Pfn lo, Pfn hi) const
 {
+    flush();
     return findFrame(
         lo, hi, /*highest=*/false,
         [](const Node &node, Pfn coverage) {
@@ -519,6 +567,7 @@ ContigIndex::firstAllocatedFrame(Pfn lo, Pfn hi) const
 Pfn
 ContigIndex::firstUnmovableFrame(Pfn lo, Pfn hi) const
 {
+    flush();
     return findFrame(
         lo, hi, /*highest=*/false,
         [](const Node &node, Pfn) { return node.unmov > 0; },
@@ -530,6 +579,7 @@ ContigIndex::firstUnmovableFrame(Pfn lo, Pfn hi) const
 Pfn
 ContigIndex::firstMovableMtFrame(Pfn lo, Pfn hi) const
 {
+    flush();
     return findFrame(
         lo, hi, /*highest=*/false,
         [](const Node &node, Pfn) { return node.movableMt > 0; },

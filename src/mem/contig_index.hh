@@ -14,18 +14,25 @@
  *
  * The index is *derived state*: it never interprets allocator
  * semantics. Mutation sites re-publish the frame range they touched
- * via resync(), which re-reads the per-frame truth (PageFrame flags),
- * diffs it against a cached per-frame snapshot, and folds the deltas
- * up the tree — O(range + log n) per call, so maintaining the index
- * costs the same order as the mutation itself. Because every counter
- * is recomputed from the same predicate the legacy scanners use
- * (PageFrame::isFree / isUnmovableAllocation), the index is
- * bit-identical to a fresh full scan at all times, including across
- * fault-injected rollbacks; the MemAuditor cross-checks this.
+ * via resync(), which re-reads the per-frame truth (PageFrame flags)
+ * and diffs it against a cached per-frame snapshot. That leaf diff is
+ * eager — O(range) per call, the same order as the mutation itself —
+ * and keeps the machine-wide page totals current. Folding the changes
+ * up the tree is deferred: resync() only queues the level-1 nodes
+ * whose leaves changed, and the first read that needs the tree folds
+ * the whole queue level by level, visiting each dirty node once no
+ * matter how many mutations touched it. Because every counter is
+ * recomputed from the same predicate the legacy scanners use
+ * (PageFrame::isFree / isUnmovableAllocation), every read sees a tree
+ * bit-identical to a fresh full scan, including across fault-injected
+ * rollbacks; the MemAuditor cross-checks this.
  *
- * Reads: whole-machine per-order queries are O(1) (the global
- * counters); arbitrary [lo, hi) ranges are answered from tree nodes
- * in O(range / 2^order + log n) without touching the frame array.
+ * Reads: page totals are O(1) and never fold. Every read of the tree
+ * or of the per-order block counters first folds whatever is queued
+ * (O(dirty nodes) per level); after that, whole-machine per-order
+ * queries are O(1) and arbitrary [lo, hi) ranges are answered from
+ * tree nodes in O(range / 2^order + log n) without touching the frame
+ * array.
  *
  * Descent queries (DESIGN.md §12): beyond counting, the tree supports
  * positional search — "first mixed pageblock at or after lo", "first
@@ -63,10 +70,12 @@ class ContigIndex
     static constexpr unsigned topLevel = gigaOrder;
 
     /**
-     * Re-read frames [lo, hi) from the frame array and fold any state
-     * changes into the tree. Every code path that mutates a frame's
-     * free/unmovable/pinned/source state must call this (via
-     * PhysMem::noteFramesChanged) before the next metric read.
+     * Re-read frames [lo, hi) from the frame array: update the cached
+     * leaves and the machine-wide page totals now, and queue the
+     * touched tree nodes for the fold the next tree read performs.
+     * Every code path that mutates a frame's free/unmovable/pinned/
+     * source state must call this (via PhysMem::noteFramesChanged)
+     * before the next metric read.
      */
     void resync(Pfn lo, Pfn hi);
 
@@ -178,9 +187,19 @@ class ContigIndex
 
     /** @} */
 
+    /** Same derived state as another index: leaves, page totals,
+     * every tree node and the per-order block counters (maintenance
+     * counters excluded). Folds both sides first. */
+    bool operator==(const ContigIndex &other) const;
+
     /** @{ Maintenance counters (observability). */
+    /** resync() calls that diffed a non-empty range. */
     std::uint64_t resyncCalls() const { return resyncCalls_; }
     std::uint64_t framesRescanned() const { return framesRescanned_; }
+    /** Deferred folds run (reads that found queued nodes). */
+    std::uint64_t folds() const { return folds_; }
+    /** Tree nodes recomputed by those folds, all levels. */
+    std::uint64_t nodesFolded() const { return nodesFolded_; }
     /** @} */
 
   private:
@@ -245,6 +264,14 @@ class ContigIndex
         return bits;
     }
 
+    /** Fold the queued level-1 nodes up the tree, level by level,
+     * adjusting the per-order block counters. A parent is queued only
+     * when a child actually changed: a parent is a function of its
+     * children alone, so an unchanged child cannot move it. Every
+     * public read of levels_, fullFree_ or tainted_ calls this
+     * first. */
+    void flush() const;
+
     /** Node spanned by level-1 node `index`, recomputed from leaves. */
     Node nodeFromLeaves(std::uint64_t index) const;
     /** Node at `level` >= 2 recomputed from its two children. */
@@ -288,20 +315,37 @@ class ContigIndex
     std::vector<std::uint8_t> leaf_;
     /** Cached AllocSource of each unmovable frame. */
     std::vector<std::uint8_t> leafSrc_;
-    /** levels_[L-1] holds level L (block order L), L in 1..topLevel. */
-    std::array<std::vector<Node>, topLevel> levels_;
-
     std::uint64_t freePages_ = 0;
     std::uint64_t unmovablePages_ = 0;
     std::uint64_t pinnedPages_ = 0;
+    std::array<std::uint64_t, numAllocSources> bySource_{};
+
+    // The tree and everything the deferred fold touches are mutable:
+    // const reads fold the queue before answering. That is safe
+    // without locking because an index belongs to one PhysMem, which
+    // belongs to one server driven by one thread at a time (fleet
+    // workers own whole servers); nothing reads an index concurrently
+    // with another read or a resync().
+
+    /** levels_[L-1] holds level L (block order L), L in 1..topLevel. */
+    mutable std::array<std::vector<Node>, topLevel> levels_;
     /** Indexed by order 1..topLevel (entry 0 unused; order-0 queries
      * answer from the leaf totals). */
-    std::array<std::uint64_t, topLevel + 1> fullFree_{};
-    std::array<std::uint64_t, topLevel + 1> tainted_{};
-    std::array<std::uint64_t, numAllocSources> bySource_{};
+    mutable std::array<std::uint64_t, topLevel + 1> fullFree_{};
+    mutable std::array<std::uint64_t, topLevel + 1> tainted_{};
+    /** Level-1 nodes whose leaves changed since the last fold. */
+    mutable std::vector<std::uint64_t> dirty_;
+    /** Scratch for the next level's queue during a fold. */
+    mutable std::vector<std::uint64_t> nextDirty_;
+    /** queued_[L-1][i]: node i of level L is in the current queue,
+     * so each node is queued at most once (the queue never outgrows
+     * the level even when nothing reads the tree). */
+    mutable std::array<std::vector<bool>, topLevel> queued_;
 
     std::uint64_t resyncCalls_ = 0;
     std::uint64_t framesRescanned_ = 0;
+    mutable std::uint64_t folds_ = 0;
+    mutable std::uint64_t nodesFolded_ = 0;
 };
 
 } // namespace ctg

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <vector>
 
 #include "base/rng.hh"
@@ -435,6 +436,539 @@ TEST(ContigIndexProperty, ExactPrefMatchesUncappedScan)
     }
     EXPECT_EQ(exact_mem.contigIndex().freePages(),
               scan_mem.contigIndex().freePages());
+}
+
+// ---------------------------------------------------------------
+// Deferred fold: resync() diffs leaves eagerly and queues tree
+// nodes; the first tree read folds the queue (DESIGN.md §11).
+// ---------------------------------------------------------------
+
+/** A block a random driver holds. */
+struct Held
+{
+    Pfn head;
+    unsigned order;
+    bool pinned;
+};
+
+/** One random mutation that reads nothing from the index: allocate,
+ * free, toggle a pin, or allocate a block and free it again at once
+ * (the frames change twice and end where they started). */
+void
+randomMutation(PhysMem &mem, BuddyAllocator &buddy, Rng &rng,
+               std::vector<Held> &held)
+{
+    const unsigned op = rng.below(100);
+    if (op < 40 || held.empty()) {
+        const Pfn head = buddy.allocPages(
+            rng.below(hugeOrder + 1), randomMt(rng), randomSource(rng));
+        if (head != invalidPfn)
+            held.push_back({head, mem.frame(head).order(), false});
+    } else if (op < 75) {
+        const std::size_t victim = rng.below(held.size());
+        const Held block = held[victim];
+        held.erase(held.begin() + victim);
+        if (block.pinned)
+            mem.setBlockPinned(block.head, false);
+        buddy.freePages(block.head);
+    } else if (op < 90) {
+        Held &block = held[rng.below(held.size())];
+        block.pinned = !block.pinned;
+        mem.setBlockPinned(block.head, block.pinned);
+    } else {
+        const Pfn head = buddy.allocPages(
+            rng.below(4), randomMt(rng), randomSource(rng));
+        if (head != invalidPfn) {
+            mem.setBlockPinned(head, true);
+            mem.setBlockPinned(head, false);
+            buddy.freePages(head);
+        }
+    }
+}
+
+TEST(ContigIndexProperty, LongUnreadBatchesFoldExactly)
+{
+    PhysMem mem(64_MiB);
+    BuddyAllocator buddy(mem, 0, mem.numFrames(), "batches");
+    Rng rng(0xba7c4);
+    std::vector<Held> held;
+    const ContigIndex &idx = mem.contigIndex();
+
+    for (int batch = 0; batch < 6; ++batch) {
+        const std::uint64_t folds = idx.folds();
+        for (int op = 0; op < 1500; ++op)
+            randomMutation(mem, buddy, rng, held);
+        // Nothing read the tree during the batch...
+        ASSERT_EQ(idx.folds(), folds) << "batch " << batch;
+        // ...so this comparison folds 1500 operations at once, and
+        // must match an index built from scratch over the same
+        // frames, node for node.
+        EXPECT_TRUE(idx == ContigIndex(mem.frames()))
+            << "batch " << batch;
+        EXPECT_EQ(idx.folds(), folds + 1);
+        expectIndexExact(mem, rng);
+        expectDescentQueriesExact(mem, rng);
+        if (::testing::Test::HasFailure())
+            FAIL() << "diverged after batch " << batch;
+    }
+}
+
+TEST(ContigIndexFold, SingleFrameAllocsFoldOnceOnRead)
+{
+    PhysMem mem(64_MiB);
+    BuddyAllocator buddy(mem, 0, mem.numFrames(), "folds");
+    const ContigIndex &idx = mem.contigIndex();
+    idx.fullyFreeBlocks(1); // fold the boot-time state
+    const std::uint64_t folds = idx.folds();
+    const std::uint64_t nodes = idx.nodesFolded();
+    const std::uint64_t resyncs = idx.resyncCalls();
+
+    constexpr int allocs = 64;
+    for (int i = 0; i < allocs; ++i) {
+        ASSERT_NE(buddy.allocPages(0, MigrateType::Unmovable,
+                                   AllocSource::Slab),
+                  invalidPfn);
+    }
+    EXPECT_GE(idx.resyncCalls(), resyncs + allocs);
+    // Page totals are eager and never fold.
+    EXPECT_EQ(idx.unmovablePages(), std::uint64_t{allocs});
+    EXPECT_EQ(idx.folds(), folds);
+    EXPECT_EQ(idx.nodesFolded(), nodes);
+
+    // The first tree read folds everything queued, once.
+    EXPECT_GT(idx.taintedBlocks(scan::order2M), 0u);
+    EXPECT_EQ(idx.folds(), folds + 1);
+    EXPECT_GT(idx.nodesFolded(), nodes);
+    // 64 frames sit under at most 64 level-1 nodes, and each level
+    // above holds at most as many dirty nodes as the one below.
+    EXPECT_LE(idx.nodesFolded() - nodes,
+              std::uint64_t{allocs} * ContigIndex::topLevel);
+
+    // A read with nothing queued folds nothing.
+    idx.firstUnmovableFrame(0, mem.numFrames());
+    EXPECT_EQ(idx.folds(), folds + 1);
+}
+
+/** Per-frame predicates of a machine, for linear answers to every
+ * tree read. */
+struct FrameTruth
+{
+    std::vector<bool> free, alloc, unmov, pinned, movableMt;
+
+    explicit FrameTruth(const PhysMem &mem)
+    {
+        for (Pfn p = 0; p < mem.numFrames(); ++p) {
+            const auto f = mem.frame(p);
+            free.push_back(f.isFree());
+            alloc.push_back(!f.isFree());
+            unmov.push_back(f.isUnmovableAllocation());
+            pinned.push_back(!f.isFree() && f.isPinned());
+            movableMt.push_back(!f.isFree() &&
+                                f.migrateType() == MigrateType::Movable);
+        }
+    }
+
+    static std::uint64_t
+    count(const std::vector<bool> &bits, Pfn lo, Pfn hi)
+    {
+        return std::count(bits.begin() + lo, bits.begin() + hi, true);
+    }
+
+    static Pfn
+    first(const std::vector<bool> &bits, Pfn lo, Pfn hi)
+    {
+        for (Pfn p = lo; p < hi; ++p) {
+            if (bits[p])
+                return p;
+        }
+        return invalidPfn;
+    }
+
+    /** Aligned order-blocks in [lo, hi) that are fully free
+     * (needFree) or hold at least one unmovable frame. */
+    std::uint64_t
+    blocks(Pfn lo, Pfn hi, unsigned order, bool needFree) const
+    {
+        const Pfn span = Pfn{1} << order;
+        std::uint64_t total = 0;
+        for (Pfn b = lo; b + span <= hi; b += span) {
+            total += needFree ? count(free, b, b + span) == span
+                              : count(unmov, b, b + span) > 0;
+        }
+        return total;
+    }
+
+    bool
+    mixed(Pfn block) const
+    {
+        const Pfn end = block + pagesPerHuge;
+        return count(free, block, end) > 0 &&
+               count(alloc, block, end) > count(unmov, block, end);
+    }
+
+    Pfn
+    span(unsigned order, Pfn lo, Pfn hi, bool highest) const
+    {
+        const Pfn size = Pfn{1} << order;
+        lo = (lo + size - 1) & ~(size - 1);
+        hi &= ~(size - 1);
+        Pfn hit = invalidPfn;
+        for (Pfn b = lo; b + size <= hi; b += size) {
+            if (count(free, b, b + size) == size) {
+                hit = b;
+                if (!highest)
+                    break;
+            }
+        }
+        return hit;
+    }
+};
+
+using Answers = std::vector<std::uint64_t>;
+
+/** One public tree read, swept over many arguments: `index` asks
+ * the index, `truth` answers the same questions linearly. */
+struct TreeRead
+{
+    const char *name;
+    std::function<Answers(const ContigIndex &, Pfn)> index;
+    std::function<Answers(const FrameTruth &, Pfn)> truth;
+};
+
+/** Random [lo, hi) ranges, none of them the whole machine (whole-
+ * machine range queries answer from the eager totals). */
+std::vector<std::pair<Pfn, Pfn>>
+probeRanges(Pfn n)
+{
+    Rng rng(0x9a4e);
+    std::vector<std::pair<Pfn, Pfn>> ranges;
+    while (ranges.size() < 48) {
+        const Pfn lo = rng.below(n);
+        const Pfn hi = rng.range(lo, n - 1) + 1;
+        if (lo != 0 || hi != n)
+            ranges.push_back({lo, hi});
+    }
+    return ranges;
+}
+
+std::vector<TreeRead>
+treeReads()
+{
+    using Idx = const ContigIndex &;
+    using Tru = const FrameTruth &;
+    constexpr unsigned top = ContigIndex::topLevel;
+    /** Align [lo, hi) inward to order. */
+    const auto trim = [](std::pair<Pfn, Pfn> r, unsigned order) {
+        const Pfn span = Pfn{1} << order;
+        const Pfn lo = (r.first + span - 1) & ~(span - 1);
+        const Pfn hi = std::max(lo, r.second & ~(span - 1));
+        return std::pair<Pfn, Pfn>{lo, hi};
+    };
+    /** Sweep fn(lo, hi) over the probe ranges. */
+    const auto sweep = [](Pfn n, auto fn) {
+        Answers out;
+        for (const auto &r : probeRanges(n))
+            out.push_back(fn(r.first, r.second));
+        return out;
+    };
+    /** Sweep fn(lo, hi, order) over the probe ranges trimmed to
+     * every order up to the pageblock. */
+    const auto sweepAligned = [trim](Pfn n, auto fn) {
+        Answers out;
+        for (unsigned order = 1; order <= hugeOrder; ++order) {
+            for (const auto &r : probeRanges(n)) {
+                const auto [lo, hi] = trim(r, order);
+                out.push_back(fn(lo, hi, order));
+            }
+        }
+        return out;
+    };
+    /** Sweep fn(order, index) over every node of every level. */
+    const auto sweepNodes = [](Pfn n, auto fn) {
+        Answers out;
+        for (unsigned order = 1; order <= top; ++order) {
+            for (std::uint64_t i = 0; i < (n >> order); ++i)
+                out.push_back(fn(order, i));
+        }
+        return out;
+    };
+    /** Sweep fn(block) over every pageblock base. */
+    const auto sweepBlocks = [](Pfn n, auto fn) {
+        Answers out;
+        for (Pfn b = 0; b < n; b += pagesPerHuge)
+            out.push_back(fn(b));
+        return out;
+    };
+    const auto orders = [](auto fn) {
+        Answers out;
+        for (unsigned order = 1; order <= top; ++order)
+            out.push_back(fn(order));
+        return out;
+    };
+    const auto spans = [](Pfn n, auto fn) {
+        Answers out;
+        for (unsigned order = 0; order <= hugeOrder; ++order) {
+            for (const auto &r : probeRanges(n)) {
+                out.push_back(fn(order, r.first, r.second, false));
+                out.push_back(fn(order, r.first, r.second, true));
+            }
+        }
+        return out;
+    };
+    const auto pageblockRanges = [trim](Pfn n, auto fn) {
+        Answers out;
+        for (const auto &r : probeRanges(n)) {
+            const auto [lo, hi] = trim(r, hugeOrder);
+            out.push_back(fn(lo, hi));
+        }
+        return out;
+    };
+
+    return {
+        {"fullyFreeBlocks",
+         [=](Idx x, Pfn) {
+             return orders([&](unsigned o) {
+                 return x.fullyFreeBlocks(o);
+             });
+         },
+         [=](Tru t, Pfn n) {
+             return orders([&](unsigned o) {
+                 return t.blocks(0, n, o, true);
+             });
+         }},
+        {"taintedBlocks",
+         [=](Idx x, Pfn) {
+             return orders([&](unsigned o) {
+                 return x.taintedBlocks(o);
+             });
+         },
+         [=](Tru t, Pfn n) {
+             return orders([&](unsigned o) {
+                 return t.blocks(0, n, o, false);
+             });
+         }},
+        {"freePagesIn",
+         [=](Idx x, Pfn n) {
+             return sweep(n, [&](Pfn lo, Pfn hi) {
+                 return x.freePagesIn(lo, hi);
+             });
+         },
+         [=](Tru t, Pfn n) {
+             return sweep(n, [&](Pfn lo, Pfn hi) {
+                 return t.count(t.free, lo, hi);
+             });
+         }},
+        {"unmovablePagesIn",
+         [=](Idx x, Pfn n) {
+             return sweep(n, [&](Pfn lo, Pfn hi) {
+                 return x.unmovablePagesIn(lo, hi);
+             });
+         },
+         [=](Tru t, Pfn n) {
+             return sweep(n, [&](Pfn lo, Pfn hi) {
+                 return t.count(t.unmov, lo, hi);
+             });
+         }},
+        {"fullyFreeBlocksIn",
+         [=](Idx x, Pfn n) {
+             return sweepAligned(n, [&](Pfn lo, Pfn hi, unsigned o) {
+                 return x.fullyFreeBlocksIn(lo, hi, o);
+             });
+         },
+         [=](Tru t, Pfn n) {
+             return sweepAligned(n, [&](Pfn lo, Pfn hi, unsigned o) {
+                 return t.blocks(lo, hi, o, true);
+             });
+         }},
+        {"taintedBlocksIn",
+         [=](Idx x, Pfn n) {
+             return sweepAligned(n, [&](Pfn lo, Pfn hi, unsigned o) {
+                 return x.taintedBlocksIn(lo, hi, o);
+             });
+         },
+         [=](Tru t, Pfn n) {
+             return sweepAligned(n, [&](Pfn lo, Pfn hi, unsigned o) {
+                 return t.blocks(lo, hi, o, false);
+             });
+         }},
+        {"nodeFreePages",
+         [=](Idx x, Pfn n) {
+             return sweepNodes(n, [&](unsigned o, std::uint64_t i) {
+                 return std::uint64_t{x.nodeFreePages(o, i)};
+             });
+         },
+         [=](Tru t, Pfn n) {
+             return sweepNodes(n, [&](unsigned o, std::uint64_t i) {
+                 return t.count(t.free, i << o, (i + 1) << o);
+             });
+         }},
+        {"nodeUnmovablePages",
+         [=](Idx x, Pfn n) {
+             return sweepNodes(n, [&](unsigned o, std::uint64_t i) {
+                 return std::uint64_t{x.nodeUnmovablePages(o, i)};
+             });
+         },
+         [=](Tru t, Pfn n) {
+             return sweepNodes(n, [&](unsigned o, std::uint64_t i) {
+                 return t.count(t.unmov, i << o, (i + 1) << o);
+             });
+         }},
+        {"blockClass",
+         [=](Idx x, Pfn n) {
+             Answers out;
+             for (Pfn b = 0; b < n; b += pagesPerHuge) {
+                 const ContigIndex::BlockClass c =
+                     x.blockClass(b + pagesPerHuge / 2);
+                 out.insert(out.end(), {c.free, c.unmovable, c.pinned,
+                                        c.movableAlloc});
+             }
+             return out;
+         },
+         [=](Tru t, Pfn n) {
+             Answers out;
+             for (Pfn b = 0; b < n; b += pagesPerHuge) {
+                 const Pfn e = b + pagesPerHuge;
+                 const std::uint64_t unmov = t.count(t.unmov, b, e);
+                 out.insert(out.end(),
+                            {t.count(t.free, b, e), unmov,
+                             t.count(t.pinned, b, e),
+                             t.count(t.alloc, b, e) - unmov});
+             }
+             return out;
+         }},
+        {"firstMixedBlock",
+         [=](Idx x, Pfn n) {
+             return sweepBlocks(n, [&](Pfn b) {
+                 return x.firstMixedBlock(b, n);
+             });
+         },
+         [=](Tru t, Pfn n) {
+             return sweepBlocks(n, [&](Pfn b) {
+                 for (; b < n; b += pagesPerHuge) {
+                     if (t.mixed(b))
+                         return b;
+                 }
+                 return invalidPfn;
+             });
+         }},
+        {"nextMixedBlock",
+         [=](Idx x, Pfn n) {
+             return sweepBlocks(n, [&](Pfn b) {
+                 return x.nextMixedBlock(b, n);
+             });
+         },
+         [=](Tru t, Pfn n) {
+             return sweepBlocks(n, [&](Pfn b) {
+                 for (b += pagesPerHuge; b < n; b += pagesPerHuge) {
+                     if (t.mixed(b))
+                         return b;
+                 }
+                 return invalidPfn;
+             });
+         }},
+        {"mixedBlocksIn",
+         [=](Idx x, Pfn n) {
+             return pageblockRanges(n, [&](Pfn lo, Pfn hi) {
+                 return x.mixedBlocksIn(lo, hi);
+             });
+         },
+         [=](Tru t, Pfn n) {
+             return pageblockRanges(n, [&](Pfn lo, Pfn hi) {
+                 std::uint64_t total = 0;
+                 for (Pfn b = lo; b < hi; b += pagesPerHuge)
+                     total += t.mixed(b);
+                 return total;
+             });
+         }},
+        {"firstFullyFreeSpan",
+         [=](Idx x, Pfn n) {
+             return spans(n, [&](unsigned o, Pfn lo, Pfn hi, bool high) {
+                 return x.firstFullyFreeSpan(
+                     o, lo, hi, high ? AddrPref::High : AddrPref::Low);
+             });
+         },
+         [=](Tru t, Pfn n) {
+             return spans(n, [&](unsigned o, Pfn lo, Pfn hi, bool high) {
+                 return t.span(o, lo, hi, high);
+             });
+         }},
+        {"firstAllocatedFrame",
+         [=](Idx x, Pfn n) {
+             return sweep(n, [&](Pfn lo, Pfn hi) {
+                 return x.firstAllocatedFrame(lo, hi);
+             });
+         },
+         [=](Tru t, Pfn n) {
+             return sweep(n, [&](Pfn lo, Pfn hi) {
+                 return t.first(t.alloc, lo, hi);
+             });
+         }},
+        {"firstUnmovableFrame",
+         [=](Idx x, Pfn n) {
+             return sweep(n, [&](Pfn lo, Pfn hi) {
+                 return x.firstUnmovableFrame(lo, hi);
+             });
+         },
+         [=](Tru t, Pfn n) {
+             return sweep(n, [&](Pfn lo, Pfn hi) {
+                 return t.first(t.unmov, lo, hi);
+             });
+         }},
+        {"firstMovableMtFrame",
+         [=](Idx x, Pfn n) {
+             return sweep(n, [&](Pfn lo, Pfn hi) {
+                 return x.firstMovableMtFrame(lo, hi);
+             });
+         },
+         [=](Tru t, Pfn n) {
+             return sweep(n, [&](Pfn lo, Pfn hi) {
+                 return t.first(t.movableMt, lo, hi);
+             });
+         }},
+        {"movableMtPagesIn",
+         [=](Idx x, Pfn n) {
+             return sweep(n, [&](Pfn lo, Pfn hi) {
+                 return x.movableMtPagesIn(lo, hi);
+             });
+         },
+         [=](Tru t, Pfn n) {
+             return sweep(n, [&](Pfn lo, Pfn hi) {
+                 return t.count(t.movableMt, lo, hi);
+             });
+         }},
+    };
+}
+
+/** Every public tree read must fold the queue before answering: a
+ * read that skipped the fold would answer from the tree as it was
+ * before the last batch of mutations. Each read runs first after a
+ * batch on a machine of its own, so no other read can fold for it,
+ * and the batch is checked to have moved the read's answers. */
+TEST(ContigIndexFold, EveryTreeReadFoldsFirst)
+{
+    for (const TreeRead &read : treeReads()) {
+        PhysMem mem(64_MiB);
+        BuddyAllocator buddy(mem, 0, mem.numFrames(), "guard");
+        Rng rng(0xf1a5);
+        std::vector<Held> held;
+        const ContigIndex &idx = mem.contigIndex();
+        const Pfn n = mem.numFrames();
+
+        for (int op = 0; op < 400; ++op)
+            randomMutation(mem, buddy, rng, held);
+        ASSERT_TRUE(idx == ContigIndex(mem.frames())) << read.name;
+        const Answers before = read.truth(FrameTruth(mem), n);
+        ASSERT_EQ(read.index(idx, n), before) << read.name;
+
+        const std::uint64_t folds = idx.folds();
+        for (int op = 0; op < 400; ++op)
+            randomMutation(mem, buddy, rng, held);
+        const Answers after = read.truth(FrameTruth(mem), n);
+        ASSERT_NE(before, after)
+            << read.name << ": the batch must move the answers";
+        EXPECT_EQ(read.index(idx, n), after) << read.name;
+        EXPECT_EQ(idx.folds(), folds + 1) << read.name;
+    }
 }
 
 /** The read-path toggle must not change a single bit of any fleet
