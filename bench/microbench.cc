@@ -1,7 +1,8 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the core primitives: buddy
- * allocation/free, contiguity scans, TLB lookups, cache-hierarchy
+ * allocation/free, contiguity scans, page-table translation and
+ * address-space fault/unmap cycles, TLB lookups, cache-hierarchy
  * accesses, LLC redirection during migration, and software vs
  * hardware migration procedures. These guard the simulator's own
  * performance (a fleet study runs millions of these operations).
@@ -9,10 +10,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "base/rng.hh"
 #include "base/units.hh"
 #include "bench/bench_util.hh"
 #include "hw/system.hh"
+#include "kernel/addrspace.hh"
+#include "kernel/pagetable.hh"
 #include "mem/buddy.hh"
 #include "mem/mem_stats.hh"
 #include "mem/scanner.hh"
@@ -71,7 +76,7 @@ BENCHMARK(BM_BuddyFallbackSteal);
  * machine fragmented by 20k single-page allocations, ~10% unmovable.
  */
 void
-fragmentForScan(PhysMem &mem, BuddyAllocator &buddy)
+fragmentForScan(BuddyAllocator &buddy)
 {
     Rng rng(1);
     for (int i = 0; i < 20000; ++i) {
@@ -88,7 +93,7 @@ BM_ContiguityScan2MReference(benchmark::State &state)
 {
     PhysMem mem(512_MiB);
     BuddyAllocator buddy(mem, 0, mem.numFrames(), "bm");
-    fragmentForScan(mem, buddy);
+    fragmentForScan(buddy);
     mem.setContigIndexReads(false);
     for (auto _ : state) {
         benchmark::DoNotOptimize(mem.stats().unmovableBlockFraction(
@@ -103,7 +108,7 @@ BM_ContiguityScan2MIndex(benchmark::State &state)
 {
     PhysMem mem(512_MiB);
     BuddyAllocator buddy(mem, 0, mem.numFrames(), "bm");
-    fragmentForScan(mem, buddy);
+    fragmentForScan(buddy);
     mem.setContigIndexReads(true);
     for (auto _ : state) {
         benchmark::DoNotOptimize(mem.stats().unmovableBlockFraction(
@@ -111,6 +116,55 @@ BM_ContiguityScan2MIndex(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ContiguityScan2MIndex);
+
+KernelConfig
+microKernel()
+{
+    KernelConfig config;
+    config.memBytes = 256_MiB;
+    config.kernelTextBytes = 4_MiB;
+    return config;
+}
+
+/** Random 4 KB translations over a fully mapped 256 MiB space (the
+ * lookup every TLB miss and page fault pays). */
+void
+BM_PageTableTranslate(benchmark::State &state)
+{
+    Kernel kernel(microKernel());
+    PageTables tables(kernel);
+    const Vpn base = Vpn{1} << gigaOrder;
+    const std::uint64_t pages = (256_MiB) / pageBytes;
+    for (Vpn i = 0; i < pages; ++i)
+        tables.map(base + i, i, 0);
+    Rng rng(11);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            tables.translate(base + rng.below(pages)));
+}
+BENCHMARK(BM_PageTableTranslate);
+
+/** The Fragmenter's unit of work: mmap 64 pages, fault them in as
+ * 4 KB pages, unmap them. A fresh address space every 4096 cycles
+ * bounds the table pages the 1 GB-aligned regions leave behind. */
+void
+BM_AddressSpaceTouchMunmap(benchmark::State &state)
+{
+    Kernel kernel(microKernel());
+    std::optional<AddressSpace> space;
+    const std::uint64_t bytes = 64 * pageBytes;
+    std::uint64_t cycles = 0;
+    for (auto _ : state) {
+        if (cycles++ % 4096 == 0) {
+            space.reset();
+            space.emplace(kernel, 1);
+        }
+        const Addr base = space->mmap(bytes);
+        benchmark::DoNotOptimize(space->touchRange(base, bytes));
+        space->munmap(base);
+    }
+}
+BENCHMARK(BM_AddressSpaceTouchMunmap);
 
 void
 BM_TlbHit(benchmark::State &state)

@@ -200,8 +200,8 @@ Mmu::translate(Addr vaddr, const PageTables &tables)
     ++stats_.walks;
     result.latency += config_.pwcLat;
 
-    unsigned depth = 0;
-    const auto addrs = tables.walkAddrs(vpn, &depth);
+    const PageTables::Walk walk = tables.walk(vpn);
+    const unsigned depth = walk.depth;
     ctg_assert(depth >= 1);
 
     // Deepest PWC hit determines where the walk starts. PWC level i
@@ -220,7 +220,7 @@ Mmu::translate(Addr vaddr, const PageTables &tables)
     }
 
     for (unsigned j = start; j < depth; ++j) {
-        const auto outcome = mem_.access(core_, addrs[j], false);
+        const auto outcome = mem_.access(core_, walk.addrs[j], false);
         result.latency += outcome.latency;
         stats_.walkCycles += outcome.latency;
         ++result.walkDepth;
@@ -229,10 +229,10 @@ Mmu::translate(Addr vaddr, const PageTables &tables)
     // Refill the PWCs for the levels traversed.
     for (unsigned j = 0; j + 1 < depth && j < 3; ++j) {
         const std::uint64_t key = vpn >> (27 - 9 * j);
-        pwcs_[j].insert(key, addrs[j + 1]);
+        pwcs_[j].insert(key, walk.addrs[j + 1]);
     }
 
-    const Translation tr = tables.translate(vpn);
+    const Translation &tr = walk.translation;
     if (!tr.valid)
         return result;
 

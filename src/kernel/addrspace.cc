@@ -45,8 +45,7 @@ AddressSpace::AddressSpace(Kernel &kernel, serde::Reader &in)
     // The chunk slot order is RNG-visible state (releasePages samples
     // it uniformly), so the dense array is adopted verbatim. Each
     // entry is cross-checked against the restored page tables; the
-    // per-size counters and the 2 MB-range occupancy map are derived
-    // and rebuilt here.
+    // per-size counters are derived and rebuilt here.
     const std::uint64_t chunk_count = in.getU64();
     if (chunk_count != tables_.mappings())
         throw serde::Error("address space: chunk count mismatch");
@@ -62,14 +61,12 @@ AddressSpace::AddressSpace(Kernel &kernel, serde::Reader &in)
             throw serde::Error(
                 "address space: chunk/page-table mismatch");
         entries.push_back(ChunkTable::Entry{vpn, order});
-        if (order == 0) {
+        if (order == 0)
             ++pages4k_;
-            ++hugeRangeUse_[vpn >> hugeOrder];
-        } else if (order == hugeOrder) {
+        else if (order == hugeOrder)
             ++chunks2m_;
-        } else {
+        else
             ++chunks1g_;
-        }
     }
     chunks_.restoreEntries(std::move(entries));
     nextBaseVpn_ = in.getU64();
@@ -124,21 +121,17 @@ AddressSpace::munmap(Addr base)
     ctg_assert(it != regions_.end());
     const Region region = it->second;
 
-    Vpn vpn = region.baseVpn;
-    const Vpn end = region.baseVpn + region.pages;
-    while (vpn < end) {
-        if (const std::uint32_t *corder = chunks_.find(vpn)) {
-            const unsigned order = *corder;
+    // Every page-table leaf is a chunk head, so walking the region's
+    // leaves in ascending vpn order visits exactly the chunks a probe
+    // of every vpn would, in the same order.
+    tables_.forEachLeaf(
+        region.baseVpn, region.baseVpn + region.pages,
+        [this](Vpn vpn, const Translation &tr) {
             // Process teardown drops any remaining DMA pins.
-            const Translation tr = tables_.translate(vpn);
-            if (tr.valid && kernel_.mem().frame(tr.pfn).isPinned())
+            if (kernel_.mem().frame(tr.pfn).isPinned())
                 kernel_.unpinPages(tr.pfn);
-            unbackChunk(vpn, order);
-            vpn += Vpn{1} << order;
-        } else {
-            ++vpn;
-        }
-    }
+            unbackChunk(vpn, tr.order, tr.pfn);
+        });
     regions_.erase(it);
 }
 
@@ -159,29 +152,22 @@ AddressSpace::backChunk(Vpn vpn, unsigned order)
         return false;
     }
     chunks_.insert(vpn, order);
-    if (order == 0) {
+    if (order == 0)
         ++pages4k_;
-        ++hugeRangeUse_[vpn >> hugeOrder];
-    } else if (order == hugeOrder) {
+    else if (order == hugeOrder)
         ++chunks2m_;
-    }
     return true;
 }
 
 void
-AddressSpace::unbackChunk(Vpn vpn, unsigned order)
+AddressSpace::unbackChunk(Vpn vpn, unsigned order, Pfn pfn)
 {
-    const Translation tr = tables_.translate(vpn);
-    ctg_assert(tr.valid && tr.order == order);
-    tables_.unmap(vpn);
-    kernel_.freePages(tr.pfn);
+    const bool mapped = tables_.unmap(vpn);
+    ctg_assert(mapped);
+    kernel_.freePages(pfn);
     chunks_.erase(vpn);
     if (order == 0) {
         --pages4k_;
-        auto it = hugeRangeUse_.find(vpn >> hugeOrder);
-        ctg_assert(it != hugeRangeUse_.end() && it->second > 0);
-        if (--it->second == 0)
-            hugeRangeUse_.erase(it);
     } else if (order == hugeOrder) {
         --chunks2m_;
     } else {
@@ -207,9 +193,7 @@ AddressSpace::touchRange(Addr addr, std::uint64_t bytes)
         // range gets a huge-page attempt first.
         const bool huge_aligned = (vpn % pagesPerHuge) == 0;
         const bool huge_fits = vpn + pagesPerHuge - 1 <= last;
-        const bool huge_clear =
-            hugeRangeUse_.find(vpn >> hugeOrder) ==
-            hugeRangeUse_.end();
+        const bool huge_clear = tables_.leaves4kIn(vpn) == 0;
         if (kernel_.config().thpEnabled && huge_aligned &&
             huge_fits && huge_clear) {
             if (backChunk(vpn, hugeOrder)) {
@@ -263,9 +247,10 @@ AddressSpace::releasePages(std::uint64_t pages, Rng &rng)
         const unsigned order = entry.order;
         // Pinned pages cannot be reclaimed while IO may target them.
         const Translation tr = tables_.translate(vpn);
-        if (tr.valid && kernel_.mem().frame(tr.pfn).isPinned())
+        ctg_assert(tr.valid);
+        if (kernel_.mem().frame(tr.pfn).isPinned())
             continue;
-        unbackChunk(vpn, order);
+        unbackChunk(vpn, order, tr.pfn);
         freed += Pfn{1} << order;
     }
     return freed;
@@ -286,12 +271,11 @@ AddressSpace::releaseRange(Addr base, std::uint64_t bytes,
         const Translation tr = tables_.translate(vpn);
         if (!tr.valid || tr.order > hugeOrder)
             continue;
-        const Vpn head = vpn & ~((Vpn{1} << tr.order) - 1);
-        const Translation head_tr = tables_.translate(head);
-        ctg_assert(head_tr.valid);
-        if (kernel_.mem().frame(head_tr.pfn).isPinned())
+        const Vpn offset = vpn & ((Vpn{1} << tr.order) - 1);
+        const Pfn head_pfn = tr.pfn - offset;
+        if (kernel_.mem().frame(head_pfn).isPinned())
             continue;
-        unbackChunk(head, tr.order);
+        unbackChunk(vpn - offset, tr.order, head_pfn);
         freed += Pfn{1} << tr.order;
     }
     return freed;
@@ -302,14 +286,9 @@ AddressSpace::promoteHugeRanges(std::uint64_t budget)
 {
     if (budget == 0 || !kernel_.config().thpEnabled)
         return 0;
-    // Gather candidates first: collapsing mutates hugeRangeUse_.
-    std::vector<Vpn> candidates;
-    for (const auto &[range, used] : hugeRangeUse_) {
-        if (used == pagesPerHuge)
-            candidates.push_back(range);
-        if (candidates.size() >= budget * 4)
-            break;
-    }
+    // Gather candidates first: collapsing mutates the tables.
+    const std::vector<Vpn> candidates =
+        tables_.fullHugeRanges(budget * 4);
 
     std::uint64_t promoted = 0;
     for (const Vpn range : candidates) {
@@ -340,9 +319,10 @@ AddressSpace::promoteHugeRanges(std::uint64_t budget)
             break; // no contiguity available right now
 
         // Migrate ("copy") each base page into the huge frame and
-        // retire the old mapping.
+        // retire the old mapping. The huge allocation may have
+        // compacted (moved) the base pages: translate each afresh.
         for (Vpn vpn = head; vpn < head + pagesPerHuge; ++vpn)
-            unbackChunk(vpn, 0);
+            unbackChunk(vpn, 0, tables_.translate(vpn).pfn);
         const bool ok = tables_.map(head, huge, hugeOrder);
         ctg_assert(ok);
         chunks_.insert(head, hugeOrder);

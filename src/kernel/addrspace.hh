@@ -212,19 +212,19 @@ class AddressSpace : public PageOwnerClient
     /** Back one aligned chunk with a fresh allocation. */
     bool backChunk(Vpn vpn, unsigned order);
 
-    void unbackChunk(Vpn vpn, unsigned order);
+    /** Unmap the chunk at vpn and free its head frame `pfn`, which
+     * the caller has already translated. */
+    void unbackChunk(Vpn vpn, unsigned order, Pfn pfn);
 
     Kernel &kernel_;
     std::uint32_t pid_;
     std::uint16_t clientId_;
     PageTables tables_;
     std::map<Vpn, Region> regions_;
-    /** Mapped chunk heads: vpn -> order (0, 9 or 18). */
+    /** Mapped chunk heads: vpn -> order (0, 9 or 18). The 4 KB
+     * mappings of a 2 MB range are counted by its PT page
+     * (PageTables::leaves4kIn), not here. */
     ChunkTable chunks_;
-    /** 4 KB mappings per 2 MB-aligned range, so the THP fault path
-     * can tell whether a huge mapping would collide. Ordered so the
-     * khugepaged candidate walk is independent of hash layout. */
-    std::map<Vpn, std::uint32_t> hugeRangeUse_;
     Vpn nextBaseVpn_ = Vpn{1} << gigaOrder; // skip the zero GB
     std::uint64_t pages4k_ = 0;
     std::uint64_t chunks2m_ = 0;

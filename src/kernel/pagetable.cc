@@ -25,14 +25,29 @@ leafNodeLevel(unsigned order)
     }
 }
 
+/** Inverse of leafNodeLevel for levels 1-3. */
+constexpr unsigned
+leafOrderAt(unsigned level)
+{
+    return (level - 1) * PageTables::bitsPerLevel;
+}
+
 } // namespace
+
+PageTables::Node::~Node()
+{
+    for (Slot &slot : slots) {
+        if (slot.kind == Slot::Kind::Table)
+            delete slot.child;
+    }
+}
 
 unsigned
 PageTables::indexAt(Vpn vpn, unsigned level)
 {
     ctg_assert(level >= 1 && level <= levels);
     return static_cast<unsigned>(
-        (vpn >> ((level - 1) * bitsPerLevel)) & 0x1ff);
+        (vpn >> ((level - 1) * bitsPerLevel)) & (slotsPerNode - 1));
 }
 
 PageTables::PageTables(Kernel &kernel)
@@ -49,8 +64,6 @@ PageTables::PageTables(Kernel &kernel, serde::Reader &in)
     const std::uint64_t tablePages = in.getU64();
     const std::uint64_t mappings = in.getU64();
     root_ = loadNode(in, levels);
-    if (!root_)
-        throw serde::Error("pagetable: missing root node");
     if (tablePages_ != tablePages || mappings_ != mappings)
         throw serde::Error("pagetable: node/mapping counts disagree "
                            "with serialized tree");
@@ -65,47 +78,69 @@ void
 PageTables::saveNode(const Node &node, serde::Writer &out)
 {
     out.putU64(node.backing);
-    out.putU32(static_cast<std::uint32_t>(node.entries.size()));
-    for (const auto &[idx, entry] : node.entries) {
+    out.putU32(node.used);
+    for (unsigned idx = 0; idx < slotsPerNode; ++idx) {
+        const Slot &slot = node.slots[idx];
+        if (slot.kind == Slot::Kind::Empty)
+            continue;
+        const bool leaf = slot.kind == Slot::Kind::Leaf;
         out.putU16(static_cast<std::uint16_t>(idx));
-        out.putBool(entry.leaf);
-        out.putU32(entry.order);
-        out.putU64(entry.pfn);
-        out.putBool(entry.child != nullptr);
-        if (entry.child)
-            saveNode(*entry.child, out);
+        out.putBool(leaf);
+        out.putU32(leaf ? slot.order : 0);
+        out.putU64(leaf ? slot.pfn : invalidPfn);
+        out.putBool(!leaf);
+        if (!leaf)
+            saveNode(*slot.child, out);
     }
 }
 
 std::unique_ptr<PageTables::Node>
-PageTables::loadNode(serde::Reader &in, unsigned depthLeft)
+PageTables::loadNode(serde::Reader &in, unsigned level)
 {
-    if (depthLeft == 0)
+    if (level == 0)
         throw serde::Error("pagetable: tree deeper than 4 levels");
     auto node = std::make_unique<Node>();
     node->backing = in.getU64();
     ++tablePages_;
     const std::uint32_t count = in.getU32();
-    if (count > pageBytes / 8)
+    if (count > slotsPerNode)
         throw serde::Error("pagetable: node entry count too large");
+    const std::uint64_t numFrames = kernel_.mem().numFrames();
     unsigned prev = 0;
     for (std::uint32_t i = 0; i < count; ++i) {
         const unsigned idx = in.getU16();
-        if (idx >= (1u << bitsPerLevel) || (i > 0 && idx <= prev))
+        if (idx >= slotsPerNode || (i > 0 && idx <= prev))
             throw serde::Error("pagetable: entry index out of order");
         prev = idx;
-        Entry &entry = node->entries[idx];
-        entry.present = true;
-        entry.leaf = in.getBool();
-        entry.order = in.getU32();
-        entry.pfn = in.getU64();
+        const bool leaf = in.getBool();
+        const std::uint32_t order = in.getU32();
+        const Pfn pfn = in.getU64();
         const bool hasChild = in.getBool();
-        if (entry.leaf == hasChild)
+        if (leaf == hasChild)
             throw serde::Error("pagetable: leaf/child disagreement");
-        if (hasChild)
-            entry.child = loadNode(in, depthLeft - 1);
-        else
+        Slot &slot = node->slots[idx];
+        if (hasChild) {
+            if (order != 0 || pfn != invalidPfn)
+                throw serde::Error(
+                    "pagetable: interior entry carries a leaf target");
+            slot.child = loadNode(in, level - 1).release();
+            slot.kind = Slot::Kind::Table;
+        } else {
+            if (level == levels)
+                throw serde::Error("pagetable: leaf at the root");
+            if (order != leafOrderAt(level))
+                throw serde::Error(
+                    "pagetable: leaf order does not match its level");
+            if (pfn >= numFrames ||
+                numFrames - pfn < (std::uint64_t{1} << order))
+                throw serde::Error(
+                    "pagetable: leaf maps frames past end of memory");
+            slot.pfn = pfn;
+            slot.order = static_cast<std::uint8_t>(order);
+            slot.kind = Slot::Kind::Leaf;
             ++mappings_;
+        }
+        ++node->used;
     }
     return node;
 }
@@ -140,10 +175,11 @@ PageTables::freeNode(std::unique_ptr<Node> node)
 {
     if (!node)
         return;
-    for (auto &[idx, entry] : node->entries) {
-        (void)idx;
-        if (entry.child)
-            freeNode(std::move(entry.child));
+    for (Slot &slot : node->slots) {
+        if (slot.kind == Slot::Kind::Table) {
+            slot.kind = Slot::Kind::Empty;
+            freeNode(std::unique_ptr<Node>(slot.child));
+        }
     }
     kernel_.freePages(node->backing);
     ctg_assert(tablePages_ > 0);
@@ -158,59 +194,53 @@ PageTables::map(Vpn vpn, Pfn pfn, unsigned order)
 
     Node *node = root_.get();
     for (unsigned level = levels; level > leaf_level; --level) {
-        Entry &entry = node->entries[indexAt(vpn, level)];
-        if (entry.present && entry.leaf)
+        Slot &slot = node->slots[indexAt(vpn, level)];
+        if (slot.kind == Slot::Kind::Leaf)
             panic("mapping conflict: leaf already present at level %u",
                   level);
-        if (!entry.present) {
-            entry.child = allocNode();
-            if (!entry.child) {
-                node->entries.erase(indexAt(vpn, level));
+        if (slot.kind == Slot::Kind::Empty) {
+            std::unique_ptr<Node> child = allocNode();
+            if (!child)
                 return false;
-            }
-            entry.present = true;
-            entry.leaf = false;
+            slot.child = child.release();
+            slot.kind = Slot::Kind::Table;
+            ++node->used;
         }
-        node = entry.child.get();
+        node = slot.child;
     }
 
-    Entry &entry = node->entries[indexAt(vpn, leaf_level)];
-    if (entry.present && !entry.leaf &&
-        entry.child->entries.empty()) {
+    Slot &slot = node->slots[indexAt(vpn, leaf_level)];
+    if (slot.kind == Slot::Kind::Table && slot.child->used == 0) {
         // A lower-level table that was fully unmapped (e.g. before a
         // khugepaged collapse) can be retired in place.
-        freeNode(std::move(entry.child));
-        entry.present = false;
+        slot.kind = Slot::Kind::Empty;
+        --node->used;
+        freeNode(std::unique_ptr<Node>(slot.child));
     }
-    ctg_assert(!entry.present);
-    entry.present = true;
-    entry.leaf = true;
-    entry.order = order;
-    entry.pfn = pfn;
+    ctg_assert(slot.kind == Slot::Kind::Empty);
+    slot.pfn = pfn;
+    slot.order = static_cast<std::uint8_t>(order);
+    slot.kind = Slot::Kind::Leaf;
+    ++node->used;
     ++mappings_;
     return true;
 }
 
-PageTables::Entry *
-PageTables::findLeaf(Vpn vpn)
+PageTables::Slot *
+PageTables::findLeaf(Vpn vpn, unsigned *leaf_level) const
 {
     Node *node = root_.get();
     for (unsigned level = levels; level >= 1; --level) {
-        auto it = node->entries.find(indexAt(vpn, level));
-        if (it == node->entries.end() || !it->second.present)
+        Slot &slot = node->slots[indexAt(vpn, level)];
+        if (slot.kind == Slot::Kind::Leaf) {
+            *leaf_level = level;
+            return &slot;
+        }
+        if (slot.kind == Slot::Kind::Empty)
             return nullptr;
-        Entry &entry = it->second;
-        if (entry.leaf)
-            return &entry;
-        node = entry.child.get();
+        node = slot.child;
     }
     return nullptr;
-}
-
-const PageTables::Entry *
-PageTables::findLeaf(Vpn vpn) const
-{
-    return const_cast<PageTables *>(this)->findLeaf(vpn);
 }
 
 bool
@@ -218,17 +248,17 @@ PageTables::unmap(Vpn vpn)
 {
     Node *node = root_.get();
     for (unsigned level = levels; level >= 1; --level) {
-        const unsigned idx = indexAt(vpn, level);
-        auto it = node->entries.find(idx);
-        if (it == node->entries.end() || !it->second.present)
+        Slot &slot = node->slots[indexAt(vpn, level)];
+        if (slot.kind == Slot::Kind::Empty)
             return false;
-        if (it->second.leaf) {
-            node->entries.erase(it);
+        if (slot.kind == Slot::Kind::Leaf) {
+            slot.kind = Slot::Kind::Empty;
+            --node->used;
             ctg_assert(mappings_ > 0);
             --mappings_;
             return true;
         }
-        node = it->second.child.get();
+        node = slot.child;
     }
     return false;
 }
@@ -236,10 +266,11 @@ PageTables::unmap(Vpn vpn)
 bool
 PageTables::repoint(Vpn vpn, Pfn new_pfn)
 {
-    Entry *entry = findLeaf(vpn);
-    if (entry == nullptr)
+    unsigned level = 0;
+    Slot *slot = findLeaf(vpn, &level);
+    if (slot == nullptr)
         return false;
-    entry->pfn = new_pfn;
+    slot->pfn = new_pfn;
     return true;
 }
 
@@ -247,39 +278,90 @@ Translation
 PageTables::translate(Vpn vpn) const
 {
     Translation result;
-    const Entry *entry = findLeaf(vpn);
-    if (entry == nullptr)
+    unsigned level = 0;
+    const Slot *slot = findLeaf(vpn, &level);
+    if (slot == nullptr)
         return result;
     result.valid = true;
-    result.order = entry->order;
-    result.level = leafNodeLevel(entry->order);
+    result.order = slot->order;
+    result.level = level;
     // Offset within the huge leaf.
-    const Vpn mask = (Vpn{1} << entry->order) - 1;
-    result.pfn = entry->pfn + (vpn & mask);
+    const Vpn mask = (Vpn{1} << slot->order) - 1;
+    result.pfn = slot->pfn + (vpn & mask);
     return result;
 }
 
-std::array<Addr, PageTables::levels>
-PageTables::walkAddrs(Vpn vpn, unsigned *depth) const
+PageTables::Walk
+PageTables::walk(Vpn vpn) const
 {
-    std::array<Addr, levels> addrs{};
-    unsigned count = 0;
+    Walk result;
     const Node *node = root_.get();
-    for (unsigned level = levels; level >= 1 && node != nullptr;
-         --level) {
+    for (unsigned level = levels; level >= 1; --level) {
         const unsigned idx = indexAt(vpn, level);
-        addrs[count++] = pfnToAddr(node->backing) +
-                         static_cast<Addr>(idx) * 8;
-        auto it = node->entries.find(idx);
-        if (it == node->entries.end() || !it->second.present ||
-            it->second.leaf) {
+        result.addrs[result.depth++] =
+            pfnToAddr(node->backing) + static_cast<Addr>(idx) * 8;
+        const Slot &slot = node->slots[idx];
+        if (slot.kind == Slot::Kind::Leaf) {
+            Translation &tr = result.translation;
+            tr.valid = true;
+            tr.order = slot.order;
+            tr.level = level;
+            tr.pfn = slot.pfn + (vpn & ((Vpn{1} << slot.order) - 1));
             break;
         }
-        node = it->second.child.get();
+        if (slot.kind == Slot::Kind::Empty)
+            break;
+        node = slot.child;
     }
-    if (depth != nullptr)
-        *depth = count;
-    return addrs;
+    return result;
+}
+
+unsigned
+PageTables::leaves4kIn(Vpn vpn) const
+{
+    const Node *node = root_.get();
+    for (unsigned level = levels; level > 1; --level) {
+        const Slot &slot = node->slots[indexAt(vpn, level)];
+        if (slot.kind != Slot::Kind::Table)
+            return 0;
+        node = slot.child;
+    }
+    return node->used;
+}
+
+void
+PageTables::collectFull(const Node &node, unsigned level, Vpn base,
+                        std::size_t limit, std::vector<Vpn> &out)
+{
+    const unsigned shift = (level - 1) * bitsPerLevel;
+    unsigned seen = 0;
+    for (unsigned idx = 0; idx < slotsPerNode && seen < node.used;
+         ++idx) {
+        const Slot &slot = node.slots[idx];
+        if (slot.kind == Slot::Kind::Empty)
+            continue;
+        ++seen;
+        if (slot.kind != Slot::Kind::Table)
+            continue;
+        const Vpn start = base + (Vpn{idx} << shift);
+        if (level == 2) {
+            if (slot.child->used == slotsPerNode)
+                out.push_back(start >> hugeOrder);
+        } else {
+            collectFull(*slot.child, level - 1, start, limit, out);
+        }
+        if (out.size() >= limit)
+            return;
+    }
+}
+
+std::vector<Vpn>
+PageTables::fullHugeRanges(std::size_t limit) const
+{
+    std::vector<Vpn> out;
+    if (limit > 0)
+        collectFull(*root_, levels, 0, limit, out);
+    return out;
 }
 
 } // namespace ctg

@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <vector>
+
+#include "base/rng.hh"
+#include "base/serde.hh"
 #include "base/units.hh"
 #include "kernel/addrspace.hh"
 #include "kernel/churn.hh"
@@ -16,6 +22,7 @@
 #include "kernel/pagetable.hh"
 #include "kernel/psi.hh"
 #include "kernel/slab.hh"
+#include "kernel/vanilla_policy.hh"
 #include "mem/mem_stats.hh"
 #include "mem/scanner.hh"
 
@@ -239,11 +246,422 @@ TEST(PageTablesTest, WalkDepthVariesWithPageSize)
     PageTables tables(kernel);
     ASSERT_TRUE(tables.map(0, 1, 0));
     ASSERT_TRUE(tables.map(pagesPerGiga, 4096, hugeOrder));
-    unsigned depth4k = 0, depth2m = 0;
-    tables.walkAddrs(0, &depth4k);
-    tables.walkAddrs(pagesPerGiga, &depth2m);
-    EXPECT_EQ(depth4k, 4u);
-    EXPECT_EQ(depth2m, 3u);
+    EXPECT_EQ(tables.walk(0).depth, 4u);
+    EXPECT_EQ(tables.walk(pagesPerGiga).depth, 3u);
+}
+
+// ---------------------------------------------------------------
+// PageTables against a plain reference model
+// ---------------------------------------------------------------
+
+/** What the radix tree should map at one head vpn. */
+struct RefLeaf
+{
+    Pfn pfn;
+    unsigned order;
+};
+
+/**
+ * Reference model of one PageTables: the leaves by head vpn, plus the
+ * table pages a 4-level radix tree must hold for them. A PUD, PMD or
+ * PT page is keyed by the vpn prefix it covers (vpn >> 27, >> 18,
+ * >> 9); it lives from the first map beneath it until a huge map over
+ * its empty range retires it in place (unmap never frees one).
+ */
+struct RefTables
+{
+    std::map<Vpn, RefLeaf> leaves;
+    std::set<Vpn> pud, pmd, pt;
+
+    std::map<Vpn, RefLeaf>::iterator
+    covering(Vpn vpn)
+    {
+        auto it = leaves.upper_bound(vpn);
+        if (it == leaves.begin())
+            return leaves.end();
+        --it;
+        return vpn - it->first < (Vpn{1} << it->second.order)
+                   ? it
+                   : leaves.end();
+    }
+
+    bool
+    anyLeafIn(Vpn lo, Vpn hi) const
+    {
+        const auto it = leaves.lower_bound(lo);
+        return it != leaves.end() && it->first < hi;
+    }
+
+    /** Legal map: nothing mapped in the way, and any table the leaf
+     * replaces is empty. */
+    bool
+    canMap(Vpn vpn, unsigned order)
+    {
+        const Vpn span = Vpn{1} << order;
+        if (covering(vpn) != leaves.end() || anyLeafIn(vpn, vpn + span))
+            return false;
+        if (order == gigaOrder && pmd.count(vpn >> gigaOrder)) {
+            const Vpn lo = vpn >> hugeOrder;
+            const auto it = pt.lower_bound(lo);
+            return it == pt.end() || *it >= lo + pagesPerHuge;
+        }
+        return true;
+    }
+
+    void
+    map(Vpn vpn, Pfn pfn, unsigned order)
+    {
+        pud.insert(vpn >> 27);
+        if (order <= hugeOrder)
+            pmd.insert(vpn >> gigaOrder);
+        if (order == 0)
+            pt.insert(vpn >> hugeOrder);
+        else if (order == hugeOrder)
+            pt.erase(vpn >> hugeOrder);
+        else
+            pmd.erase(vpn >> gigaOrder);
+        leaves[vpn] = RefLeaf{pfn, order};
+    }
+
+    std::uint64_t
+    tablePages() const
+    {
+        return 1 + pud.size() + pmd.size() + pt.size();
+    }
+
+    /** Levels a hardware walk of vpn must read. */
+    unsigned
+    walkDepth(Vpn vpn)
+    {
+        const auto it = covering(vpn);
+        if (it != leaves.end())
+            return 4 - it->second.order / PageTables::bitsPerLevel;
+        return 1 + pud.count(vpn >> 27) + pmd.count(vpn >> gigaOrder) +
+               pt.count(vpn >> hugeOrder);
+    }
+};
+
+KernelConfig
+gigaConfig()
+{
+    // Room for 1 GB leaves: the loader rejects leaves past the end of
+    // memory.
+    KernelConfig config;
+    config.memBytes = 1_GiB + 64_MiB;
+    config.kernelTextBytes = 4_MiB;
+    return config;
+}
+
+/** saveTo bytes of `tables` after a load into a restored copy of
+ * `kernel` (whose frame table holds the same live table pages, so
+ * the copy's teardown frees them legally). */
+std::vector<std::uint8_t>
+reloadedImage(const Kernel &kernel, const PageTables &tables)
+{
+    serde::Writer kernelImage;
+    kernel.saveTo(kernelImage);
+    serde::Reader kernelIn(kernelImage.bytes());
+    Kernel copy(
+        kernel.config(),
+        [&kernelIn](Kernel &k) -> std::unique_ptr<MemPolicy> {
+            return std::make_unique<VanillaPolicy>(k.mem(), kernelIn);
+        },
+        kernelIn);
+
+    serde::Writer image;
+    tables.saveTo(image);
+    serde::Reader in(image.bytes());
+    const PageTables loaded(copy, in);
+    EXPECT_TRUE(in.atEnd());
+    serde::Writer again;
+    loaded.saveTo(again);
+    return again.take();
+}
+
+TEST(PageTablesProperty, MatchesReferenceModelUnderRandomOps)
+{
+    Kernel kernel(gigaConfig());
+    const Pfn frames = kernel.mem().numFrames();
+    PageTables tables(kernel);
+    RefTables ref;
+    Rng rng(0x9a9e7ab1e5);
+
+    // A few gigabytes under two root slots, with few 2 MB ranges per
+    // gigabyte so maps, unmaps and retirements collide often. 4 KB
+    // leaves stay in the first three, so the others empty out now
+    // and then and take 1 GB leaves.
+    const Vpn gigas[] = {0, 512, 1, 2, 3, 513};
+    auto randomVpn = [&](unsigned order) {
+        const std::size_t choices = order == 0 ? 3 : std::size(gigas);
+        const Vpn giga = gigas[rng.below(choices)] << gigaOrder;
+        const Vpn huge = rng.below(4) << hugeOrder;
+        return giga + huge + rng.below(pagesPerHuge);
+    };
+    // Mostly a vpn inside a mapped leaf, else anywhere.
+    auto targetVpn = [&]() {
+        if (ref.leaves.empty() || rng.chance(0.25))
+            return randomVpn(hugeOrder);
+        auto it = ref.leaves.begin();
+        std::advance(it, rng.below(ref.leaves.size()));
+        return it->first + rng.below(Vpn{1} << it->second.order);
+    };
+    // Backing frame of each live table page, keyed by (level, key).
+    std::map<std::pair<unsigned, Vpn>, Pfn> backingOf;
+
+    auto check = [&](Vpn probe) {
+        for (unsigned i = 0; i < 4; ++i) {
+            const Vpn vpn = i == 0 ? probe : randomVpn(hugeOrder);
+            const Translation tr = tables.translate(vpn);
+            const auto it = ref.covering(vpn);
+            ASSERT_EQ(tr.valid, it != ref.leaves.end()) << vpn;
+            const PageTables::Walk walk = tables.walk(vpn);
+            EXPECT_EQ(walk.translation.valid, tr.valid);
+            if (tr.valid) {
+                EXPECT_EQ(tr.order, it->second.order);
+                EXPECT_EQ(tr.pfn, it->second.pfn + (vpn - it->first));
+                EXPECT_EQ(tr.level, 1 + tr.order / 9);
+                EXPECT_EQ(walk.translation.pfn, tr.pfn);
+                EXPECT_EQ(walk.translation.order, tr.order);
+                EXPECT_EQ(walk.translation.level, tr.level);
+            }
+            ASSERT_EQ(walk.depth, ref.walkDepth(vpn)) << vpn;
+            for (unsigned d = 0; d < walk.depth; ++d) {
+                const unsigned shift = 27 - 9 * d;
+                const Addr idx = (vpn >> shift) & 0x1ff;
+                EXPECT_EQ(walk.addrs[d] & (pageBytes - 1), idx * 8);
+                const Pfn backing = addrToPfn(walk.addrs[d]);
+                const auto key = std::make_pair(
+                    d, d == 0 ? Vpn{0} : vpn >> (shift + 9));
+                const auto [known, fresh] =
+                    backingOf.emplace(key, backing);
+                EXPECT_EQ(known->second, backing);
+                EXPECT_FALSE(kernel.mem().frame(backing).isFree());
+                EXPECT_EQ(kernel.mem().frame(backing).source(),
+                          AllocSource::PageTables);
+            }
+        }
+        EXPECT_EQ(tables.mappings(), ref.leaves.size());
+        EXPECT_EQ(tables.tablePages(), ref.tablePages());
+        // Distinct live table pages sit on distinct frames.
+        std::set<Pfn> backings;
+        for (const auto &[key, pfn] : backingOf)
+            backings.insert(pfn);
+        EXPECT_EQ(backings.size(), backingOf.size());
+    };
+    auto forgetRetired = [&]() {
+        for (auto it = backingOf.begin(); it != backingOf.end();) {
+            const auto [level, key] = it->first;
+            const bool live = level == 0 ||
+                              (level == 1 && ref.pud.count(key)) ||
+                              (level == 2 && ref.pmd.count(key)) ||
+                              (level == 3 && ref.pt.count(key));
+            it = live ? std::next(it) : backingOf.erase(it);
+        }
+    };
+
+    unsigned maps[3] = {}, unmaps = 0, repoints = 0, retires = 0;
+    for (int op = 0; op < 400; ++op) {
+        const unsigned kind = static_cast<unsigned>(rng.below(10));
+        Vpn vpn = targetVpn();
+        if (kind < 5) {
+            // Map 4K (most), 2M or 1G.
+            const unsigned pick = static_cast<unsigned>(rng.below(10));
+            const unsigned order =
+                pick < 5 ? 0 : pick < 8 ? hugeOrder : gigaOrder;
+            vpn = randomVpn(order) & ~((Vpn{1} << order) - 1);
+            if (order != 0 && rng.chance(0.5)) {
+                // Aim at a table page this leaf would retire.
+                const std::set<Vpn> &nodes =
+                    order == hugeOrder ? ref.pt : ref.pmd;
+                std::vector<Vpn> retirable;
+                for (const Vpn key : nodes) {
+                    if (ref.canMap(key << order, order))
+                        retirable.push_back(key << order);
+                }
+                if (!retirable.empty())
+                    vpn = retirable[rng.below(retirable.size())];
+            }
+            if (!ref.canMap(vpn, order))
+                continue;
+            const Pfn pfn = rng.below(frames - (Pfn{1} << order) + 1);
+            const std::uint64_t tablesBefore = tables.tablePages();
+            const bool retiring =
+                (order == hugeOrder && ref.pt.count(vpn >> 9)) ||
+                (order == gigaOrder && ref.pmd.count(vpn >> 18));
+            ASSERT_TRUE(tables.map(vpn, pfn, order));
+            ref.map(vpn, pfn, order);
+            if (retiring) {
+                ++retires;
+                EXPECT_EQ(tables.tablePages(), tablesBefore - 1);
+                forgetRetired();
+            }
+            ++maps[order / 9];
+        } else if (kind < 8) {
+            // Unmap the leaf covering any vpn (huge leaves included).
+            const auto it = ref.covering(vpn);
+            const bool expected = it != ref.leaves.end();
+            if (expected)
+                ref.leaves.erase(it);
+            ASSERT_EQ(tables.unmap(vpn), expected);
+            unmaps += expected;
+        } else {
+            const Pfn to = rng.below(frames - pagesPerGiga);
+            const auto it = ref.covering(vpn);
+            const bool expected = it != ref.leaves.end();
+            if (expected)
+                it->second.pfn = to;
+            ASSERT_EQ(tables.repoint(vpn, to), expected);
+            repoints += expected;
+        }
+        ASSERT_NO_FATAL_FAILURE(check(vpn));
+
+        serde::Writer image;
+        tables.saveTo(image);
+        ASSERT_EQ(reloadedImage(kernel, tables), image.bytes())
+            << "op " << op;
+    }
+    // The run exercised every path it claims to.
+    EXPECT_GT(maps[0], 40u);
+    EXPECT_GT(maps[1], 20u);
+    EXPECT_GE(maps[2], 3u);
+    EXPECT_GT(unmaps, 50u);
+    EXPECT_GT(repoints, 30u);
+    EXPECT_GT(retires, 10u);
+}
+
+TEST(PageTablesTest, RetiringAnEmptiedTableFreesItsPage)
+{
+    Kernel kernel(smallConfig());
+    const auto idx = static_cast<unsigned>(AllocSource::PageTables);
+    auto liveTablePages = [&kernel, idx]() {
+        return kernel.mem().stats().unmovableBySource(
+            0, kernel.mem().numFrames())[idx];
+    };
+    PageTables tables(kernel);
+    ASSERT_TRUE(tables.map(5, 1, 0));
+    const std::uint64_t withPt = tables.tablePages();
+    const auto liveWithPt = liveTablePages();
+    ASSERT_TRUE(tables.unmap(5));
+    EXPECT_EQ(tables.leaves4kIn(5), 0u);
+    EXPECT_EQ(tables.walk(5).depth, 4u); // the empty PT page stays
+    ASSERT_TRUE(tables.map(0, 4096, hugeOrder));
+    EXPECT_EQ(tables.tablePages(), withPt - 1);
+    EXPECT_EQ(liveTablePages(), liveWithPt - 1);
+    EXPECT_EQ(tables.walk(5).depth, 3u);
+}
+
+TEST(AddressSpaceTest, RangeCountsAndPromotionOrderMatchRecount)
+{
+    Kernel kernel(smallConfig());
+    AddressSpace space(kernel, 1);
+    Rng rng(0xc0ffee);
+    const std::uint64_t regionBytes = 8_MiB;
+    std::vector<Addr> regions;
+
+    // 4 KB leaves per 2 MB range, by brute force over every region.
+    auto recount = [&]() {
+        std::map<Vpn, unsigned> counts;
+        for (const Addr base : regions) {
+            const Vpn lo = addrToPfn(base);
+            for (Vpn vpn = lo; vpn < lo + regionBytes / pageBytes;
+                 ++vpn) {
+                const Translation tr = space.pageTables().translate(vpn);
+                if (tr.valid && tr.order == 0)
+                    ++counts[vpn >> hugeOrder];
+            }
+        }
+        return counts;
+    };
+
+    unsigned promotedTotal = 0, partialRanges = 0, munmaps = 0;
+    unsigned holes = 0;
+    std::vector<Vpn> lastFull;
+    for (int round = 0; round < 400; ++round) {
+        const unsigned action = static_cast<unsigned>(rng.below(12));
+        if (regions.empty() || action == 0) {
+            regions.push_back(space.mmap(regionBytes));
+        } else if (action == 1 && regions.size() > 1) {
+            const std::size_t i = rng.below(regions.size());
+            space.munmap(regions[i]);
+            regions.erase(regions.begin() +
+                          static_cast<std::ptrdiff_t>(i));
+            ++munmaps;
+        } else if (action < 4) {
+            const Addr base = regions[rng.below(regions.size())];
+            space.releaseRange(base, regionBytes, 1 + rng.below(300),
+                               rng);
+        } else if (action < 6 && !lastFull.empty()) {
+            // One hole in a full range: 511 leaves is not a
+            // khugepaged candidate.
+            const Vpn range = lastFull[rng.below(lastFull.size())];
+            const Vpn vpn = (range << hugeOrder) + rng.below(pagesPerHuge);
+            space.releaseRange(pfnToAddr(vpn), pageBytes, 1, rng);
+            ++holes;
+        } else {
+            // Page-granular touches back 4 KB pages, so whole 2 MB
+            // ranges fill up one page at a time.
+            const Addr base = regions[rng.below(regions.size())];
+            const std::uint64_t pages = 1 + rng.below(700);
+            const std::uint64_t first = rng.below(
+                regionBytes / pageBytes - pages + 1);
+            space.touchRange(base + first * pageBytes,
+                             pages * pageBytes);
+        }
+
+        const std::map<Vpn, unsigned> counts = recount();
+        std::vector<Vpn> full;
+        for (const auto &[range, used] : counts) {
+            EXPECT_EQ(space.pageTables().leaves4kIn(range << hugeOrder),
+                      used);
+            if (used == pagesPerHuge)
+                full.push_back(range);
+            else
+                ++partialRanges;
+        }
+        for (const Addr base : regions) {
+            const Vpn lo = addrToPfn(base);
+            for (Vpn vpn = lo; vpn < lo + regionBytes / pageBytes;
+                 vpn += pagesPerHuge) {
+                if (!counts.count(vpn >> hugeOrder)) {
+                    EXPECT_EQ(space.pageTables().leaves4kIn(vpn), 0u);
+                }
+            }
+        }
+        for (const std::size_t limit : {std::size_t{1}, std::size_t{3},
+                                        full.size() + 1}) {
+            std::vector<Vpn> prefix(
+                full.begin(),
+                full.begin() + static_cast<std::ptrdiff_t>(
+                                   std::min(limit, full.size())));
+            EXPECT_EQ(space.pageTables().fullHugeRanges(limit), prefix);
+        }
+
+        // khugepaged collapses the lowest full ranges first.
+        if (round % 8 == 7 && !full.empty()) {
+            const std::uint64_t budget = 1 + rng.below(2);
+            const std::uint64_t promoted =
+                space.promoteHugeRanges(budget);
+            EXPECT_EQ(promoted, std::min<std::uint64_t>(budget,
+                                                        full.size()));
+            for (std::size_t i = 0; i < full.size(); ++i) {
+                const Translation tr = space.pageTables().translate(
+                    full[i] << hugeOrder);
+                EXPECT_EQ(tr.order, i < promoted ? hugeOrder : 0u);
+            }
+            promotedTotal += static_cast<unsigned>(promoted);
+            full.erase(full.begin(),
+                       full.begin() + static_cast<std::ptrdiff_t>(promoted));
+        }
+        lastFull = full;
+    }
+    EXPECT_GT(promotedTotal, 5u);
+    EXPECT_GT(partialRanges, 0u);
+    EXPECT_GT(munmaps, 3u);
+    EXPECT_GT(holes, 3u);
+    for (const Addr base : regions)
+        space.munmap(base);
+    EXPECT_EQ(space.backedPages(), 0u);
+    EXPECT_EQ(space.pageTables().mappings(), 0u);
 }
 
 TEST(AddressSpaceTest, TouchBacksWithThp)

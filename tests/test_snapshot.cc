@@ -29,6 +29,8 @@
 #include "base/units.hh"
 #include "fleet/fleet.hh"
 #include "fleet/server.hh"
+#include "kernel/kernel.hh"
+#include "kernel/pagetable.hh"
 #include "mem/auditor.hh"
 #include "sim/fault_injector.hh"
 #include "sim/snapshot.hh"
@@ -456,6 +458,253 @@ TEST(SnapshotContainerTest, MalformedManifestThrows)
 }
 
 // ---------------------------------------------------------------
+// Hostile page-table images
+// ---------------------------------------------------------------
+
+/** One serialized table entry, in PageTables::saveNode's layout. */
+struct PtEntry
+{
+    std::uint16_t idx;
+    bool leaf;
+    std::uint32_t order;
+    Pfn pfn;
+};
+
+constexpr PtEntry
+interior(std::uint16_t idx)
+{
+    return PtEntry{idx, false, 0, invalidPfn};
+}
+
+/** A page-table image whose every node holds one entry: chain[0]
+ * sits in the root, each interior entry leads to the node holding
+ * the next one, and node i is backed by backing[i]. */
+std::vector<std::uint8_t>
+chainImage(const std::vector<PtEntry> &chain,
+           const std::vector<Pfn> &backing)
+{
+    serde::Writer out;
+    out.putU64(chain.size());
+    out.putU64(chain.back().leaf ? 1 : 0);
+    for (std::size_t i = 0; i < chain.size(); ++i) {
+        const PtEntry &entry = chain[i];
+        out.putU64(backing[i]);
+        out.putU32(1);
+        out.putU16(entry.idx);
+        out.putBool(entry.leaf);
+        out.putU32(entry.order);
+        out.putU64(entry.pfn);
+        out.putBool(!entry.leaf);
+    }
+    return out.take();
+}
+
+class PageTableImageTest : public ::testing::Test
+{
+  protected:
+    PageTableImageTest()
+    {
+        config_.memBytes = 256_MiB;
+        config_.kernelTextBytes = 4_MiB;
+        kernel_ = std::make_unique<Kernel>(config_);
+        // Real table pages, so a load that succeeds may tear down.
+        AllocRequest req;
+        req.mt = MigrateType::Unmovable;
+        req.source = AllocSource::PageTables;
+        req.lifetime = Lifetime::Long;
+        for (int i = 0; i < 4; ++i)
+            backing_.push_back(kernel_->allocPages(req));
+    }
+
+    /** Root slot 0 -> PUD slot 1 -> PMD slot 0 -> PT slot 5. */
+    static std::vector<PtEntry>
+    wellFormed()
+    {
+        return {interior(0), interior(1), interior(0),
+                PtEntry{5, true, 0, 42}};
+    }
+
+    /** Loading `chain` must throw serde::Error naming `reason`. */
+    void
+    expectRefused(const std::vector<PtEntry> &chain,
+                  const std::string &reason, const std::string &why)
+    {
+        const std::vector<std::uint8_t> image =
+            chainImage(chain, backing_);
+        serde::Reader in(image);
+        try {
+            PageTables tables(*kernel_, in);
+            ADD_FAILURE() << "accepted: " << why;
+        } catch (const serde::Error &e) {
+            EXPECT_NE(std::string(e.what()).find("pagetable: " + reason),
+                      std::string::npos)
+                << why << ": " << e.what();
+        }
+    }
+
+    Pfn frames() const { return kernel_->mem().numFrames(); }
+
+    KernelConfig config_;
+    std::unique_ptr<Kernel> kernel_;
+    std::vector<Pfn> backing_;
+};
+
+TEST_F(PageTableImageTest, WellFormedChainLoads)
+{
+    const std::vector<std::uint8_t> image =
+        chainImage(wellFormed(), backing_);
+    serde::Reader in(image);
+    const PageTables tables(*kernel_, in);
+    EXPECT_TRUE(in.atEnd());
+    EXPECT_EQ(tables.tablePages(), 4u);
+    const Translation tr = tables.translate((Vpn{1} << gigaOrder) + 5);
+    ASSERT_TRUE(tr.valid);
+    EXPECT_EQ(tr.pfn, 42u);
+    serde::Writer again;
+    tables.saveTo(again);
+    EXPECT_EQ(again.bytes(), image);
+}
+
+TEST_F(PageTableImageTest, LeafOrderNotMatchingItsLevelIsRejected)
+{
+    for (const std::uint32_t order : {5u, hugeOrder, gigaOrder}) {
+        std::vector<PtEntry> chain = wellFormed();
+        chain.back().order = order; // in a PT page: must be 0
+        expectRefused(chain, "leaf order",
+                      "order " + std::to_string(order));
+    }
+    // A 2 MB slot holding a 4 KB or 1 GB leaf.
+    for (const std::uint32_t order : {0u, gigaOrder}) {
+        std::vector<PtEntry> chain = wellFormed();
+        chain.pop_back();
+        chain.back() = PtEntry{0, true, order, 0};
+        expectRefused(chain, "leaf order",
+                      "PMD order " + std::to_string(order));
+    }
+}
+
+TEST_F(PageTableImageTest, LeafAtRootIsRejected)
+{
+    for (const std::uint32_t order : {0u, gigaOrder, 27u})
+        expectRefused({PtEntry{0, true, order, 0}}, "leaf at the root",
+                      "root order " + std::to_string(order));
+}
+
+TEST_F(PageTableImageTest, InteriorEntryWithLeafTargetIsRejected)
+{
+    std::vector<PtEntry> chain = wellFormed();
+    chain[1].pfn = 7;
+    expectRefused(chain, "interior entry", "interior pfn");
+    chain = wellFormed();
+    chain[2].order = hugeOrder;
+    expectRefused(chain, "interior entry", "interior order");
+}
+
+TEST_F(PageTableImageTest, LeafPastEndOfMemoryIsRejected)
+{
+    std::vector<PtEntry> chain = wellFormed();
+    chain.back().pfn = frames();
+    expectRefused(chain, "leaf maps frames", "4K leaf at numFrames");
+    chain.back().pfn = invalidPfn - 1;
+    expectRefused(chain, "leaf maps frames",
+                  "4K leaf near pfn overflow");
+
+    // A 2 MB leaf whose head fits but whose tail does not.
+    chain = wellFormed();
+    chain.pop_back();
+    chain.back() = PtEntry{0, true, hugeOrder, frames() - 256};
+    expectRefused(chain, "leaf maps frames",
+                  "2M leaf straddling the end");
+}
+
+/** Offset of the order field of the first page-table leaf in a
+ * server image, found by following serialized interior entries
+ * (leaf 0, order 0, pfn invalidPfn, hasChild 1) down to a leaf
+ * record; npos if there is none. */
+std::size_t
+firstPageTableLeafOrder(const std::vector<std::uint8_t> &image)
+{
+    // An entry after its u16 index: leaf u8, order u32, pfn u64,
+    // hasChild u8; a node header is backing u64 + count u32.
+    constexpr std::size_t entryBytes = 14;
+    constexpr std::size_t nodeHeader = 12;
+    auto u32At = [&image](std::size_t pos) {
+        std::uint32_t v = 0;
+        for (int b = 3; b >= 0; --b)
+            v = (v << 8) | image[pos + static_cast<std::size_t>(b)];
+        return v;
+    };
+    auto isInterior = [&](std::size_t pos) {
+        if (pos + entryBytes > image.size() || image[pos] != 0 ||
+            u32At(pos + 1) != 0 || image[pos + 13] != 1)
+            return false;
+        for (std::size_t b = 5; b < 13; ++b) {
+            if (image[pos + b] != 0xff)
+                return false;
+        }
+        return true;
+    };
+    for (std::size_t pos = 0; pos + entryBytes <= image.size(); ++pos) {
+        if (!isInterior(pos))
+            continue;
+        std::size_t at = pos + entryBytes;
+        for (int depth = 0; depth < 3; ++depth) {
+            const std::size_t entry = at + nodeHeader + 2;
+            if (entry + entryBytes > image.size())
+                break;
+            const std::uint32_t count = u32At(at + 8);
+            if (count == 0 || count > 512)
+                break;
+            if (isInterior(entry)) {
+                at = entry + entryBytes;
+                continue;
+            }
+            const std::uint32_t order = u32At(entry + 1);
+            if (image[entry] == 1 && image[entry + 13] == 0 &&
+                (order == 0 || order == hugeOrder ||
+                 order == gigaOrder))
+                return entry + 1;
+            break;
+        }
+    }
+    return std::string::npos;
+}
+
+/** Recompute the CRC of every top-level section of a snapshot image
+ * (8-byte image header, then u32 id | u32 reserved | u64 length |
+ * payload | u32 crc), so a hand edit passes the framing checks. */
+void
+recrcSections(std::vector<std::uint8_t> &image)
+{
+    std::size_t pos = 8;
+    while (pos + 16 <= image.size()) {
+        std::uint64_t len = 0;
+        for (int b = 7; b >= 0; --b)
+            len = (len << 8) | image[pos + 8 + static_cast<std::size_t>(b)];
+        const std::size_t payload = pos + 16;
+        ASSERT_LE(payload + len + 4, image.size());
+        const std::uint32_t crc =
+            serde::crc32(image.data() + payload, len);
+        for (std::size_t b = 0; b < 4; ++b)
+            image[payload + len + b] =
+                static_cast<std::uint8_t>(crc >> (8 * b));
+        pos = payload + len + 4;
+    }
+}
+
+/** Turn the first page-table leaf of a snapshot image into an
+ * order-5 leaf and re-CRC the image. */
+void
+corruptFirstLeafOrder(std::vector<std::uint8_t> &image)
+{
+    const std::size_t at = firstPageTableLeafOrder(image);
+    ASSERT_NE(at, std::string::npos);
+    image[at] = 5;
+    image[at + 1] = image[at + 2] = image[at + 3] = 0;
+    recrcSections(image);
+}
+
+// ---------------------------------------------------------------
 // Server round trip
 // ---------------------------------------------------------------
 
@@ -619,6 +868,27 @@ TEST_F(SnapshotRoundTrip, CorruptedImageIsRefusedNotCrashed)
         } catch (const serde::Error &) {
             // Detected: the contract.
         }
+    }
+}
+
+TEST_F(SnapshotRoundTrip, ReCrcdPageTableLeafOrderIsRefused)
+{
+    // A CRC-valid image whose page tables hold an order-5 leaf must
+    // be a decode error, not a panic from the first translate.
+    const Server::Config config = smallServer(true, false);
+    FaultInjector fi(1);
+    const FaultInjectorScope scope(fi);
+    Server server(config);
+    server.runToCheckpoint();
+    std::vector<std::uint8_t> image = encodeSnapshot(server, fi);
+    ASSERT_NO_FATAL_FAILURE(corruptFirstLeafOrder(image));
+    try {
+        decodeSnapshot(config, image, nullptr);
+        ADD_FAILURE() << "hostile leaf order accepted";
+    } catch (const serde::Error &e) {
+        EXPECT_NE(std::string(e.what()).find("pagetable: leaf order"),
+                  std::string::npos)
+            << e.what();
     }
 }
 
@@ -843,6 +1113,49 @@ TEST_F(SnapshotFleetTest, HandEditedSnapshotFileColdStarts)
     const char garbage = 0x5a;
     file.write(&garbage, 1);
     file.close();
+
+    const FleetRun restored = runFleet(smallFleet("", dir), "");
+    EXPECT_EQ(restored.scans, straight.scans);
+}
+
+TEST_F(SnapshotFleetTest, ReCrcdPageTableEditColdStarts)
+{
+    const std::string dir = scratchDir("fleet_pagetable_edit");
+    const FleetRun straight = runFleet(smallFleet("", ""), "");
+    runFleet(smallFleet(dir, ""), "");
+
+    // Give one snapshot an order-5 page-table leaf, then fix up its
+    // section CRCs and its manifest entry so only the page-table
+    // decoder can notice.
+    const std::string file = snap::snapshotFileName(2);
+    std::vector<std::uint8_t> image =
+        snap::readImageFile(dir + "/" + file);
+    ASSERT_NO_FATAL_FAILURE(corruptFirstLeafOrder(image));
+    {
+        std::ofstream out(dir + "/" + file,
+                          std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char *>(image.data()),
+                  static_cast<std::streamsize>(image.size()));
+    }
+    const std::string manifestPath =
+        dir + "/" + snap::manifestFileName();
+    std::ifstream manifestIn(manifestPath);
+    std::string manifest, line;
+    bool patched = false;
+    while (std::getline(manifestIn, line)) {
+        if (line.rfind("entry 2 " + file + " ", 0) == 0) {
+            char crc[16];
+            std::snprintf(crc, sizeof(crc), "%08lx",
+                          static_cast<unsigned long>(serde::crc32(
+                              image.data(), image.size())));
+            line = line.substr(0, line.rfind(' ') + 1) + crc;
+            patched = true;
+        }
+        manifest += line + "\n";
+    }
+    manifestIn.close();
+    ASSERT_TRUE(patched);
+    std::ofstream(manifestPath, std::ios::trunc) << manifest;
 
     const FleetRun restored = runFleet(smallFleet("", dir), "");
     EXPECT_EQ(restored.scans, straight.scans);
