@@ -496,21 +496,29 @@ Kernel::regStats(StatGroup group) const
     index_group.gauge(
         "resync_calls",
         [this] { return double(mem_->contigIndex().resyncCalls()); },
-        "leaf-diff calls (frame ranges re-read into the index)");
+        "frame ranges marked changed (each marks its 64-frame "
+        "words dirty)");
     index_group.gauge(
         "frames_rescanned",
         [this] {
             return double(mem_->contigIndex().framesRescanned());
         },
-        "frames re-read by index updates");
+        "frames re-read at fold (64 per dirty word)");
     index_group.gauge(
         "folds",
         [this] { return double(mem_->contigIndex().folds()); },
-        "deferred tree folds run by index reads");
+        "deferred folds run by index reads");
     index_group.gauge(
         "nodes_folded",
         [this] { return double(mem_->contigIndex().nodesFolded()); },
-        "tree nodes recomputed by deferred folds");
+        "tree nodes (level 7 and up) recomputed by deferred folds");
+    index_group.gauge(
+        "bytes_per_frame",
+        [this] {
+            const ContigIndex &index = mem_->contigIndex();
+            return double(index.bytes()) / double(index.numFrames());
+        },
+        "bytes the index holds per physical frame");
     index_group.gauge(
         "free_pages",
         [this] { return double(mem_->contigIndex().freePages()); });

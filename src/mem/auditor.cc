@@ -232,9 +232,12 @@ MemAuditor::auditContigIndex(AuditReport &report) const
                  index.unmovableBySource()[src], by_source[src]);
     }
 
-    // Per-order block counters for the orders the figures report.
-    const unsigned orders[] = {1, scan::order2M, scan::order4M,
-                               scan::order32M, scan::order1G};
+    // Per-order block counters: every order below the pageblock
+    // (1-6 come from the bit-plane words, 7-8 from the tree levels
+    // folded straight from them) plus the orders the figures report.
+    const unsigned orders[] = {1, 2, 3, 4, 5, 6, 7, 8, scan::order2M,
+                               scan::order4M, scan::order32M,
+                               scan::order1G};
     for (const unsigned order : orders) {
         mismatch("fully_free_blocks",
                  index.fullyFreeBlocks(order),

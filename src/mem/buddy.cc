@@ -635,9 +635,10 @@ BuddyAllocator::attachRange(Pfn lo, Pfn hi, MigrateType block_mt)
     // Stale allocation-era fields on those free frames are dead:
     // every reader of a free frame's order/migrateType/owner is
     // guarded by isHead(), and pushFree/markAllocated rewrite all
-    // fields before the next read. The leaf bits of a free frame are
-    // LeafFree regardless, so no resync is needed either — the
-    // handoff costs O(range / 2^maxOrder), not O(range).
+    // fields before the next read. A free frame sets only its free
+    // bit in the index's planes regardless, so no resync is needed
+    // either — the handoff costs O(range / 2^maxOrder), not
+    // O(range).
     for (Pfn pfn = lo; pfn < hi; pfn += pagesPerHuge)
         mem_.setBlockMt(pfn, block_mt);
     freeRangeAsBlocks(lo, hi, block_mt);

@@ -6,45 +6,51 @@
  * computed by full scans over the frame array, re-run for four block
  * orders on every sampler tick of every server — the dominant
  * wall-clock cost of a population run. The ContigIndex replaces the
- * rescans with a buddy-style binary tree over the frame array: each
- * node at level L covers an aligned 2^L-frame block and holds the
- * number of free, unmovable and pinned frames inside it, and global
- * per-order counters track how many aligned blocks are fully free or
- * contain at least one unmovable page.
+ * rescans with two layers over the frame array:
+ *
+ *  - a *word* per 64 frames holding one bit-plane per predicate
+ *    (free, unmovable, pinned, movable migratetype) plus the three
+ *    AllocSource bits of each unmovable frame. Blocks of order 0-6
+ *    are answered from a word with masks, AND/OR folds and popcounts;
+ *  - a buddy-style binary tree from level 7 (128 frames, two words)
+ *    up to the 1 GB level: each node covers an aligned 2^L-frame
+ *    block and holds the number of free, unmovable, pinned and
+ *    movable-migratetype frames inside it.
+ *
+ * Global per-order counters track how many aligned blocks are fully
+ * free or contain at least one unmovable page, for every order.
  *
  * The index is *derived state*: it never interprets allocator
  * semantics. Mutation sites re-publish the frame range they touched
- * via resync(), which re-reads the per-frame truth (PageFrame flags)
- * and diffs it against a cached per-frame snapshot. That leaf diff is
- * eager — O(range) per call, the same order as the mutation itself —
- * and keeps the machine-wide page totals current. Folding the changes
- * up the tree is deferred: resync() only queues the level-1 nodes
- * whose leaves changed, and the first read that needs the tree folds
- * the whole queue level by level, visiting each dirty node once no
- * matter how many mutations touched it. Because every counter is
- * recomputed from the same predicate the legacy scanners use
- * (PageFrame::isFree / isUnmovableAllocation), every read sees a tree
- * bit-identical to a fresh full scan, including across fault-injected
- * rollbacks; the MemAuditor cross-checks this.
+ * via resync(), which only marks the range's words dirty in a bitmap
+ * (O(words), no frame is read). The first read folds: it re-derives
+ * each dirty word once from the packed frame meta column, applies the
+ * popcount deltas of its planes to the page and per-order totals, and
+ * folds the changed words up the tree level by level, visiting each
+ * dirty node once no matter how many mutations touched it. Because
+ * every bit is recomputed from the same predicate the legacy scanners
+ * use (PageFrame::isFree / isUnmovableAllocation), every read sees
+ * state bit-identical to a fresh full scan, including across
+ * fault-injected rollbacks; the MemAuditor cross-checks this.
  *
- * Reads: page totals are O(1) and never fold. Every read of the tree
- * or of the per-order block counters first folds whatever is queued
- * (O(dirty nodes) per level); after that, whole-machine per-order
- * queries are O(1) and arbitrary [lo, hi) ranges are answered from
- * tree nodes in O(range / 2^order + log n) without touching the frame
- * array.
+ * Reads: every read, page totals included, first folds whatever is
+ * dirty (O(dirty words + dirty nodes)); after that, whole-machine
+ * per-order queries are O(1) and arbitrary [lo, hi) ranges are
+ * answered from tree nodes and word masks in O(range / 2^order +
+ * log n) without touching the frame array.
  *
  * Descent queries (DESIGN.md §12): beyond counting, the tree supports
  * positional search — "first mixed pageblock at or after lo", "first
  * (lowest or highest) fully-free aligned order-o block", "first
  * allocated/unmovable/movable-migratetype frame" — by descending from
- * the top level and pruning subtrees whose aggregates rule out a hit.
- * Two extra per-node aggregates make the pruning exact: `mixed`
- * counts compaction-worthy pageblocks (>= 1 free and >= 1
- * movable-allocated frame) in the subtree, and `maxFF` is the largest
- * order j such that the subtree contains a fully-free aligned order-j
- * block. The mutation hot paths (compactRange, region resizing,
- * findContigRange, exact-AddrPref popFree) are built on these.
+ * the top level and pruning subtrees whose aggregates rule out a hit,
+ * then finishing inside a word with count-trailing/leading-zeros. Two
+ * extra per-node aggregates make the pruning exact: `mixed` counts
+ * compaction-worthy pageblocks (>= 1 free and >= 1 movable-allocated
+ * frame) in the subtree, and `maxFF` is the largest order j such that
+ * the subtree contains a fully-free aligned order-j block. The
+ * mutation hot paths (compactRange, region resizing, findContigRange,
+ * exact-AddrPref popFree) are built on these.
  */
 
 #ifndef CTG_MEM_CONTIG_INDEX_HH
@@ -68,22 +74,24 @@ class ContigIndex
 
     /** Highest tree level maintained (1 GB blocks). */
     static constexpr unsigned topLevel = gigaOrder;
+    /** Order of one bit-plane word (64 frames); orders 0..wordOrder
+     * are answered inside words, the tree starts one level above. */
+    static constexpr unsigned wordOrder = 6;
 
     /**
-     * Re-read frames [lo, hi) from the frame array: update the cached
-     * leaves and the machine-wide page totals now, and queue the
-     * touched tree nodes for the fold the next tree read performs.
-     * Every code path that mutates a frame's free/unmovable/pinned/
-     * source state must call this (via PhysMem::noteFramesChanged)
-     * before the next metric read.
+     * Mark frames [lo, hi) as changed: their words are re-derived
+     * from the frame array by the fold the next read performs. Every
+     * code path that mutates a frame's free/unmovable/pinned/source
+     * state must call this (via PhysMem::noteFramesChanged) before
+     * the next metric read. O(words in the range); reads no frame.
      */
     void resync(Pfn lo, Pfn hi);
 
-    /** @{ Whole-machine counters, O(1). */
+    /** @{ Whole-machine counters: O(1) after the fold. */
     std::uint64_t numFrames() const { return n_; }
-    std::uint64_t freePages() const { return freePages_; }
-    std::uint64_t unmovablePages() const { return unmovablePages_; }
-    std::uint64_t pinnedPages() const { return pinnedPages_; }
+    std::uint64_t freePages() const;
+    std::uint64_t unmovablePages() const;
+    std::uint64_t pinnedPages() const;
     /** Aligned order-blocks fully inside the machine. */
     std::uint64_t
     alignedBlocks(unsigned order) const
@@ -96,10 +104,7 @@ class ContigIndex
     std::uint64_t taintedBlocks(unsigned order) const;
     /** Unmovable page counts keyed by AllocSource (Figure 6). */
     const std::array<std::uint64_t, numAllocSources> &
-    unmovableBySource() const
-    {
-        return bySource_;
-    }
+    unmovableBySource() const;
     /** @} */
 
     /** @{ Range queries over [lo, hi), exact vs. a fresh scan. */
@@ -187,22 +192,51 @@ class ContigIndex
 
     /** @} */
 
-    /** Same derived state as another index: leaves, page totals,
+    /** Same derived state as another index: words, page totals,
      * every tree node and the per-order block counters (maintenance
      * counters excluded). Folds both sides first. */
     bool operator==(const ContigIndex &other) const;
 
+    /** Heap and object bytes the index holds (words, tree, dirty
+     * bitmap, fold queues). */
+    std::uint64_t bytes() const;
+
     /** @{ Maintenance counters (observability). */
-    /** resync() calls that diffed a non-empty range. */
+    /** resync() calls that marked a non-empty range. */
     std::uint64_t resyncCalls() const { return resyncCalls_; }
+    /** Frames re-read from the frame array by folds. */
     std::uint64_t framesRescanned() const { return framesRescanned_; }
-    /** Deferred folds run (reads that found queued nodes). */
+    /** Folds run (reads that found dirty words). */
     std::uint64_t folds() const { return folds_; }
-    /** Tree nodes recomputed by those folds, all levels. */
+    /** Tree nodes (level 7 and up) recomputed by those folds. */
     std::uint64_t nodesFolded() const { return nodesFolded_; }
     /** @} */
 
   private:
+    static constexpr Pfn wordFrames = Pfn{1} << wordOrder;
+    /** Lowest tree level: a node spans two words. */
+    static constexpr unsigned nodeLevel0 = wordOrder + 1;
+
+    /** Bit-planes of 64 frames: bit i of a plane is frame
+     * (word index * 64 + i). Frames past the end of the machine have
+     * every bit clear. src holds the AllocSource of each unmovable
+     * frame, one plane per source bit (clear for other frames), so
+     * two words are equal exactly when their frames classify the
+     * same. */
+    struct alignas(64) Word
+    {
+        std::uint64_t free = 0;
+        std::uint64_t unmov = 0;
+        std::uint64_t pinned = 0;
+        /** Allocated frames with MigrateType::Movable (pin state
+         * ignored — the region-confinement predicate). */
+        std::uint64_t movableMt = 0;
+        std::array<std::uint64_t, 3> src{};
+
+        bool operator==(const Word &) const = default;
+    };
+    static_assert(sizeof(Word) == 64);
+
     /** Per-block occupancy counts and search aggregates of one tree
      * node. The aggregates (mixed, maxFF) are derived bottom-up from
      * the children, so the comparison must include them: two nodes
@@ -214,8 +248,6 @@ class ContigIndex
         std::uint32_t free = 0;
         std::uint32_t unmov = 0;
         std::uint32_t pinned = 0;
-        /** Allocated frames with MigrateType::Movable (pin state
-         * ignored — the region-confinement predicate). */
         std::uint32_t movableMt = 0;
         /** Mixed pageblocks (>= 1 free, >= 1 movable-allocated
          * frame) in the subtree. Zero below level hugeOrder. */
@@ -225,69 +257,78 @@ class ContigIndex
          * free. */
         std::int8_t maxFF = -1;
 
-        bool
-        operator==(const Node &o) const
-        {
-            return free == o.free && unmov == o.unmov &&
-                   pinned == o.pinned && movableMt == o.movableMt &&
-                   mixed == o.mixed && maxFF == o.maxFF;
-        }
+        bool operator==(const Node &) const = default;
     };
 
-    static constexpr std::uint8_t LeafFree = 1 << 0;
-    static constexpr std::uint8_t LeafUnmovable = 1 << 1;
-    static constexpr std::uint8_t LeafPinned = 1 << 2;
-    static constexpr std::uint8_t LeafMovableMt = 1 << 3;
-
-    /** Leaf predicate bits of a frame, computed straight from the
-     * packed meta word (one load per frame on the resync hot path).
-     * Same predicates the legacy scanners evaluate: a free frame is
-     * only LeafFree; an allocated one is unmovable when its
-     * migratetype is not Movable or it is pinned. */
-    static std::uint8_t
-    leafBits(std::uint16_t meta)
-    {
-        if (meta & PageFrame::FlagFree)
-            return LeafFree;
-        const bool pinned = meta & PageFrame::FlagPinned;
-        const bool movable_mt =
-            ((meta >> FrameArray::metaMtShift) &
-             FrameArray::metaMtMask) ==
-            static_cast<std::uint16_t>(MigrateType::Movable);
-        std::uint8_t bits = 0;
-        if (!movable_mt || pinned)
-            bits |= LeafUnmovable;
-        if (pinned)
-            bits |= LeafPinned;
-        if (movable_mt)
-            bits |= LeafMovableMt;
-        return bits;
-    }
-
-    /** Fold the queued level-1 nodes up the tree, level by level,
-     * adjusting the per-order block counters. A parent is queued only
-     * when a child actually changed: a parent is a function of its
-     * children alone, so an unchanged child cannot move it. Every
-     * public read of levels_, fullFree_ or tainted_ calls this
+    /** Re-derive the dirty words from the frame array, apply their
+     * deltas to the totals and the order 1..wordOrder block
+     * counters, and fold the changed words up the tree level by
+     * level. A parent is recomputed only when a child actually
+     * changed: a parent is a function of its children alone, so an
+     * unchanged child cannot move it. Every public read calls this
      * first. */
     void flush() const;
 
-    /** Node spanned by level-1 node `index`, recomputed from leaves. */
-    Node nodeFromLeaves(std::uint64_t index) const;
-    /** Node at `level` >= 2 recomputed from its two children. */
+    /** Word `w` recomputed from the frame meta column. */
+    Word deriveWord(std::uint64_t w) const;
+    /** Apply the difference between words_[w] and `fresh` to the
+     * totals and store it; true when a tree-visible plane moved. */
+    bool applyWord(std::uint64_t w, const Word &fresh) const;
+
+    /** Level-nodeLevel0 node `index` recomputed from its words. */
+    Node nodeFromWords(std::uint64_t index) const;
+    /** Node at `level` > nodeLevel0 recomputed from its children. */
     Node nodeFromChildren(unsigned level, std::uint64_t index) const;
 
+    const Node &
+    node(unsigned level, std::uint64_t index) const
+    {
+        return levels_[level - nodeLevel0][index];
+    }
+    std::uint64_t
+    levelSize(unsigned level) const
+    {
+        return levels_[level - nodeLevel0].size();
+    }
+
+    /** Frames of word w that exist, as a plane mask. */
+    std::uint64_t validMask(std::uint64_t w) const;
+    /** Starts of the aligned order-blocks of word w that lie wholly
+     * inside the machine (order <= wordOrder). */
+    std::uint64_t inMachineStarts(std::uint64_t w,
+                                  unsigned order) const;
+
+    /** Call onNode(level, index) and onWord(word, mask) for a cover
+     * of [lo, hi) by maximal aligned tree nodes and partial words. */
+    template <typename OnNode, typename OnWord>
+    void decompose(Pfn lo, Pfn hi, OnNode &&onNode,
+                   OnWord &&onWord) const;
+
+    /** Frames in [lo, hi) set in plane(word); node(n) gives the same
+     * count for a whole tree node. */
+    template <typename Plane, typename NodeCount>
+    std::uint64_t countIn(Pfn lo, Pfn hi, Plane &&plane,
+                          NodeCount &&nodeCount) const;
+
+    /** Aligned order-blocks (1 <= order <= wordOrder) in the
+     * order-aligned range [lo, hi) whose frames are all (allOf) or
+     * at least one (!allOf) set in plane(word). */
+    template <typename Plane>
+    std::uint64_t blocksInWords(Pfn lo, Pfn hi, unsigned order,
+                                bool allOf, Plane &&plane) const;
+
     /** Generic first/last-frame descent: nodeHas(node, coverage)
-     * says whether the subtree can contain a hit, leafHas(bits) tests
-     * one frame. Exact node predicates make the pruning lossless.
-     * Defined in the .cc (only instantiated there). */
-    template <typename NodeHas, typename LeafHas>
+     * says whether the subtree can contain a hit, plane(word) gives
+     * the hit bits of one word. Exact node predicates make the
+     * pruning lossless. Defined in the .cc (only instantiated
+     * there). */
+    template <typename NodeHas, typename Plane>
     Pfn findFrame(Pfn lo, Pfn hi, bool highest, NodeHas &&nodeHas,
-                  LeafHas &&leafHas) const;
-    template <typename NodeHas, typename LeafHas>
+                  Plane &&plane) const;
+    template <typename NodeHas, typename Plane>
     Pfn findFrameRec(unsigned level, std::uint64_t index, Pfn lo,
                      Pfn hi, bool highest, const NodeHas &nodeHas,
-                     const LeafHas &leafHas) const;
+                     const Plane &plane) const;
 
     /** Subtree descent for firstMixedBlock (stops at level
      * hugeOrder). */
@@ -295,7 +336,8 @@ class ContigIndex
                      Pfn hi) const;
 
     /** Subtree descent for firstFullyFreeSpan (stops at level
-     * `order`, pruning on maxFF). */
+     * `order`, or in the words for order <= wordOrder, pruning on
+     * maxFF). */
     Pfn findSpanRec(unsigned level, std::uint64_t index, Pfn lo,
                     Pfn hi, unsigned order, bool highest) const;
 
@@ -311,39 +353,35 @@ class ContigIndex
     const FrameArray &frames_;
     std::uint64_t n_;
 
-    /** Cached per-frame predicate bits (LeafFree/Unmovable/Pinned). */
-    std::vector<std::uint8_t> leaf_;
-    /** Cached AllocSource of each unmovable frame. */
-    std::vector<std::uint8_t> leafSrc_;
-    std::uint64_t freePages_ = 0;
-    std::uint64_t unmovablePages_ = 0;
-    std::uint64_t pinnedPages_ = 0;
-    std::array<std::uint64_t, numAllocSources> bySource_{};
+    // Everything the fold touches is mutable: const reads fold before
+    // answering. That is safe without locking because an index
+    // belongs to one PhysMem, which belongs to one server driven by
+    // one thread at a time (fleet workers own whole servers); nothing
+    // reads an index concurrently with another read or a resync().
 
-    // The tree and everything the deferred fold touches are mutable:
-    // const reads fold the queue before answering. That is safe
-    // without locking because an index belongs to one PhysMem, which
-    // belongs to one server driven by one thread at a time (fleet
-    // workers own whole servers); nothing reads an index concurrently
-    // with another read or a resync().
+    mutable std::vector<Word> words_;
+    mutable std::uint64_t freePages_ = 0;
+    mutable std::uint64_t unmovablePages_ = 0;
+    mutable std::uint64_t pinnedPages_ = 0;
+    mutable std::array<std::uint64_t, numAllocSources> bySource_{};
 
-    /** levels_[L-1] holds level L (block order L), L in 1..topLevel. */
-    mutable std::array<std::vector<Node>, topLevel> levels_;
+    /** levels_[L - nodeLevel0] holds tree level L. */
+    mutable std::array<std::vector<Node>, topLevel - wordOrder> levels_;
     /** Indexed by order 1..topLevel (entry 0 unused; order-0 queries
-     * answer from the leaf totals). */
+     * answer from the page totals). */
     mutable std::array<std::uint64_t, topLevel + 1> fullFree_{};
     mutable std::array<std::uint64_t, topLevel + 1> tainted_{};
-    /** Level-1 nodes whose leaves changed since the last fold. */
-    mutable std::vector<std::uint64_t> dirty_;
-    /** Scratch for the next level's queue during a fold. */
-    mutable std::vector<std::uint64_t> nextDirty_;
-    /** queued_[L-1][i]: node i of level L is in the current queue,
-     * so each node is queued at most once (the queue never outgrows
-     * the level even when nothing reads the tree). */
-    mutable std::array<std::vector<bool>, topLevel> queued_;
+    /** One bit per word: changed since the last fold. */
+    mutable std::vector<std::uint64_t> dirtyWords_;
+    /** Some dirty bit is set. */
+    mutable bool pending_ = false;
+    /** Ascending tree nodes of the level being folded, and of the
+     * next one (scratch kept across folds). */
+    mutable std::vector<std::uint64_t> queue_;
+    mutable std::vector<std::uint64_t> nextQueue_;
 
     std::uint64_t resyncCalls_ = 0;
-    std::uint64_t framesRescanned_ = 0;
+    mutable std::uint64_t framesRescanned_ = 0;
     mutable std::uint64_t folds_ = 0;
     mutable std::uint64_t nodesFolded_ = 0;
 };

@@ -365,14 +365,9 @@ class FrameArray
         return ConstFrameRef(this, pfn);
     }
 
-    /** Raw packed meta word — the ContigIndex resync hot path reads
-     * this instead of going through a proxy per predicate. */
-    std::uint16_t
-    meta(Pfn pfn) const
-    {
-        ctg_assert(pfn < meta_.size());
-        return meta_[pfn];
-    }
+    /** The whole packed meta column (size() words): the ContigIndex
+     * fold derives 64 frames at a time from it. */
+    const std::uint16_t *metaColumn() const { return meta_.data(); }
 
     /** Materialize one frame as the old value type (tests, reference
      * models, and cold paths that want a stable copy). */

@@ -1,5 +1,7 @@
 #include "workloads/access_gen.hh"
 
+#include "base/logging.hh"
+
 namespace ctg
 {
 
@@ -53,6 +55,13 @@ makeAccessProfile(WorkloadKind kind)
         p.codeZipfTheta = 0.6;
         p.writeFrac = 0.35;
         break;
+      case WorkloadKind::Aging:
+      case WorkloadKind::FsCacheHeavy:
+      case WorkloadKind::UnmovableBursty:
+        // The aging profiles drive allocation churn only; none has a
+        // calibrated access stream for the hardware model.
+        fatal("no access profile for workload kind %s",
+              workloadName(kind));
     }
     return p;
 }

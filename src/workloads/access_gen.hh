@@ -36,7 +36,9 @@ struct AccessProfile
     Cycles computePerOp = 60;
 };
 
-/** Per-service reference profiles calibrated to Figure 3. */
+/** Per-service reference profiles calibrated to Figure 3, for the
+ * six production kinds; an aging kind (Aging, FsCacheHeavy,
+ * UnmovableBursty) has none and is refused with fatal(). */
 AccessProfile makeAccessProfile(WorkloadKind kind);
 
 /** "Ads" appears only in Figure 3; give it a profile too. */

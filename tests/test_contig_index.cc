@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <functional>
 #include <vector>
@@ -530,23 +531,92 @@ TEST(ContigIndexFold, SingleFrameAllocsFoldOnceOnRead)
                   invalidPfn);
     }
     EXPECT_GE(idx.resyncCalls(), resyncs + allocs);
-    // Page totals are eager and never fold.
-    EXPECT_EQ(idx.unmovablePages(), std::uint64_t{allocs});
+    // Nothing read the index during the allocations.
     EXPECT_EQ(idx.folds(), folds);
     EXPECT_EQ(idx.nodesFolded(), nodes);
 
-    // The first tree read folds everything queued, once.
-    EXPECT_GT(idx.taintedBlocks(scan::order2M), 0u);
+    // A totals read folds everything dirty, once.
+    EXPECT_EQ(idx.unmovablePages(), std::uint64_t{allocs});
     EXPECT_EQ(idx.folds(), folds + 1);
     EXPECT_GT(idx.nodesFolded(), nodes);
-    // 64 frames sit under at most 64 level-1 nodes, and each level
+    // 64 frames sit under at most 64 level-7 nodes, and each level
     // above holds at most as many dirty nodes as the one below.
     EXPECT_LE(idx.nodesFolded() - nodes,
               std::uint64_t{allocs} * ContigIndex::topLevel);
 
-    // A read with nothing queued folds nothing.
+    // A read with nothing dirty folds nothing.
+    EXPECT_GT(idx.taintedBlocks(scan::order2M), 0u);
     idx.firstUnmovableFrame(0, mem.numFrames());
     EXPECT_EQ(idx.folds(), folds + 1);
+}
+
+/** Several mutations inside one 64-frame word between two reads cost
+ * one re-derivation of that word, and one node per tree level. */
+TEST(ContigIndexFold, WithinWordChurnRederivesTheWordOnce)
+{
+    PhysMem mem(64_MiB);
+    BuddyAllocator buddy(mem, 0, mem.numFrames(), "churn");
+    const ContigIndex &idx = mem.contigIndex();
+    constexpr Pfn word = Pfn{1} << ContigIndex::wordOrder;
+    // An order-7 block is exactly two words.
+    const Pfn head = buddy.allocPages(ContigIndex::wordOrder + 1,
+                                      MigrateType::Movable,
+                                      AllocSource::User);
+    ASSERT_NE(head, invalidPfn);
+    ASSERT_EQ(head % word, 0u);
+    idx.fullyFreeBlocks(1);
+
+    const auto churn = [&](Pfn lo, Pfn hi, int mutations) {
+        const std::uint64_t resyncs = idx.resyncCalls();
+        const std::uint64_t frames = idx.framesRescanned();
+        const std::uint64_t folds = idx.folds();
+        const std::uint64_t nodes = idx.nodesFolded();
+        Rng rng(lo);
+        for (int i = 0; i < mutations; ++i) {
+            const Pfn a = lo + rng.below(hi - lo);
+            const Pfn b = a + 1 + rng.below(std::min<Pfn>(8, hi - a));
+            mem.setRangePinned(a, std::min(b, hi), rng.chance(0.5));
+        }
+        EXPECT_EQ(idx.resyncCalls(), resyncs + mutations);
+        EXPECT_EQ(idx.framesRescanned(), frames);
+        EXPECT_EQ(idx.folds(), folds);
+
+        EXPECT_EQ(idx.pinnedPages(), walkFrames(mem).pinned);
+        EXPECT_EQ(idx.folds(), folds + 1);
+        // Every word the mutations touched is re-read exactly once.
+        const Pfn words = (hi - 1) / word - lo / word + 1;
+        EXPECT_EQ(idx.framesRescanned() - frames, words * word);
+        EXPECT_LE(idx.nodesFolded() - nodes,
+                  std::uint64_t{words} *
+                      (ContigIndex::topLevel - ContigIndex::wordOrder));
+        EXPECT_TRUE(idx == ContigIndex(mem.frames()));
+    };
+    churn(head, head + word, 12);              // inside one word
+    churn(head + 3, head + 40, 9);             // a sub-range of it
+    churn(head + word - 5, head + word + 7, 6); // straddling two
+    mem.setRangePinned(head, head + 2 * word, false);
+    buddy.freePages(head);
+}
+
+/** Small by design: a 64-byte word per 64 frames plus tree nodes
+ * from level 7 up, ~1.5 bytes per frame once folds have grown their
+ * queues (the per-frame leaf layout it replaced took ~32). */
+TEST(ContigIndexFold, FootprintStaysUnderOnePointSixBytesPerFrame)
+{
+    for (const std::uint64_t size : {64_MiB, 1_GiB}) {
+        PhysMem mem(size);
+        BuddyAllocator buddy(mem, 0, mem.numFrames(), "bytes");
+        Rng rng(size);
+        std::vector<Held> held;
+        const ContigIndex &idx = mem.contigIndex();
+        for (int op = 0; op < 2000; ++op)
+            randomMutation(mem, buddy, rng, held);
+        idx.fullyFreeBlocks(1);
+        const double per_frame =
+            double(idx.bytes()) / double(idx.numFrames());
+        EXPECT_GT(per_frame, 1.0) << size;
+        EXPECT_LT(per_frame, 1.6) << size;
+    }
 }
 
 /** Per-frame predicates of a machine, for linear answers to every
@@ -554,18 +624,25 @@ TEST(ContigIndexFold, SingleFrameAllocsFoldOnceOnRead)
 struct FrameTruth
 {
     std::vector<bool> free, alloc, unmov, pinned, movableMt;
+    std::array<std::uint64_t, numAllocSources> bySource{};
 
-    explicit FrameTruth(const PhysMem &mem)
+    explicit FrameTruth(const FrameArray &frames)
     {
-        for (Pfn p = 0; p < mem.numFrames(); ++p) {
-            const auto f = mem.frame(p);
+        for (Pfn p = 0; p < frames.size(); ++p) {
+            const auto f = frames.frame(p);
             free.push_back(f.isFree());
             alloc.push_back(!f.isFree());
             unmov.push_back(f.isUnmovableAllocation());
             pinned.push_back(!f.isFree() && f.isPinned());
             movableMt.push_back(!f.isFree() &&
                                 f.migrateType() == MigrateType::Movable);
+            if (f.isUnmovableAllocation())
+                ++bySource[static_cast<unsigned>(f.source())];
         }
+    }
+
+    explicit FrameTruth(const PhysMem &mem) : FrameTruth(mem.frames())
+    {
     }
 
     static std::uint64_t
@@ -636,7 +713,8 @@ struct TreeRead
 };
 
 /** Random [lo, hi) ranges, none of them the whole machine (whole-
- * machine range queries answer from the eager totals). */
+ * machine range queries answer from the page totals, which have
+ * reads of their own below). */
 std::vector<std::pair<Pfn, Pfn>>
 probeRanges(Pfn n)
 {
@@ -724,7 +802,24 @@ treeReads()
         return out;
     };
 
+    const auto one = [](std::uint64_t v) { return Answers{v}; };
+
     return {
+        {"freePages", [=](Idx x, Pfn) { return one(x.freePages()); },
+         [=](Tru t, Pfn n) { return one(t.count(t.free, 0, n)); }},
+        {"unmovablePages",
+         [=](Idx x, Pfn) { return one(x.unmovablePages()); },
+         [=](Tru t, Pfn n) { return one(t.count(t.unmov, 0, n)); }},
+        {"pinnedPages", [=](Idx x, Pfn) { return one(x.pinnedPages()); },
+         [=](Tru t, Pfn n) { return one(t.count(t.pinned, 0, n)); }},
+        {"unmovableBySource",
+         [](Idx x, Pfn) {
+             const auto &by = x.unmovableBySource();
+             return Answers(by.begin(), by.end());
+         },
+         [](Tru t, Pfn) {
+             return Answers(t.bySource.begin(), t.bySource.end());
+         }},
         {"fullyFreeBlocks",
          [=](Idx x, Pfn) {
              return orders([&](unsigned o) {
@@ -968,6 +1063,191 @@ TEST(ContigIndexFold, EveryTreeReadFoldsFirst)
             << read.name << ": the batch must move the answers";
         EXPECT_EQ(read.index(idx, n), after) << read.name;
         EXPECT_EQ(idx.folds(), folds + 1) << read.name;
+    }
+}
+
+// ---------------------------------------------------------------
+// Bit-plane words: orders 0..wordOrder are answered inside 64-frame
+// words, the tree starts one level above (DESIGN.md §11).
+// ---------------------------------------------------------------
+
+/** Write random frame states straight into a frame array (no
+ * allocator in the way, so any pattern is reachable) in runs: free
+ * (with stale pin, migratetype and source bits), mixed-migratetype,
+ * movable, pinned, or free/allocated interleaved frame by frame.
+ * Each run is published with one resync. */
+void
+scribble(FrameArray &frames, ContigIndex &idx, Rng &rng, int runs)
+{
+    const Pfn n = frames.size();
+    for (int r = 0; r < runs; ++r) {
+        const Pfn lo = rng.below(n);
+        const Pfn len = 1 + rng.below(rng.chance(0.4) ? 700 : 40);
+        const Pfn hi = std::min<Pfn>(n, lo + len);
+        const unsigned kind = rng.below(5);
+        for (Pfn p = lo; p < hi; ++p) {
+            auto f = frames.frame(p);
+            f.reset();
+            if (kind == 0 || (kind == 4 && rng.chance(0.5))) {
+                // Stale allocation-era bits on a free frame must not
+                // leak into any plane.
+                f.setFree(true);
+                f.setPinned(rng.chance(0.1));
+                f.setMigrateType(randomMt(rng));
+                f.setSource(randomSource(rng));
+                continue;
+            }
+            const MigrateType mt =
+                kind == 2 ? MigrateType::Movable : randomMt(rng);
+            f.stampAllocated(0, mt, randomSource(rng), false);
+            f.setPinned(kind == 3 || rng.chance(0.05));
+        }
+        idx.resync(lo, hi);
+    }
+}
+
+/** Ranges that probe the word layer of an n-frame machine: inside
+ * one word, exactly one word, on word edges, straddling words, two
+ * frames across an edge, and the machine's ends. */
+std::vector<std::pair<Pfn, Pfn>>
+wordEdgeRanges(Pfn n, Rng &rng)
+{
+    constexpr Pfn word = Pfn{1} << ContigIndex::wordOrder;
+    const Pfn words = (n + word - 1) / word;
+    std::vector<std::pair<Pfn, Pfn>> out;
+    const auto add = [&](Pfn lo, Pfn hi) {
+        hi = std::min(hi, n);
+        out.push_back({std::min(lo, hi), hi});
+    };
+    for (int i = 0; i < 16; ++i) {
+        const Pfn base = rng.below(words) * word;
+        const Pfn a = rng.below(word);
+        const Pfn b = a + 1 + rng.below(word - a);
+        const Pfn far = base + word * (1 + rng.below(12));
+        add(base + a, base + b);
+        add(base, base + word);
+        add(base, far);
+        add(base + a, far + rng.below(word));
+        add(base + word - 1, base + word + 1);
+    }
+    add(0, n);
+    add(0, 1);
+    add(n - 1, n);
+    add(n - word, n);
+    return out;
+}
+
+/** Every query at orders 0..8 against the linear classification of
+ * the frames, over the given ranges, plus every node and pageblock. */
+void
+expectWordLayerExact(const ContigIndex &idx, const FrameArray &frames,
+                     const std::vector<std::pair<Pfn, Pfn>> &ranges)
+{
+    constexpr unsigned maxOrder = 8;
+    const FrameTruth t(frames);
+    const Pfn n = frames.size();
+
+    EXPECT_EQ(idx.freePages(), t.count(t.free, 0, n));
+    EXPECT_EQ(idx.unmovablePages(), t.count(t.unmov, 0, n));
+    EXPECT_EQ(idx.pinnedPages(), t.count(t.pinned, 0, n));
+    EXPECT_EQ(idx.unmovableBySource(), t.bySource);
+    for (unsigned o = 0; o <= maxOrder; ++o) {
+        EXPECT_EQ(idx.fullyFreeBlocks(o), t.blocks(0, n, o, true))
+            << "order " << o;
+        EXPECT_EQ(idx.taintedBlocks(o), t.blocks(0, n, o, false))
+            << "order " << o;
+    }
+
+    for (const auto &[lo, hi] : ranges) {
+        SCOPED_TRACE(::testing::Message()
+                     << "[" << lo << ", " << hi << ")");
+        EXPECT_EQ(idx.freePagesIn(lo, hi), t.count(t.free, lo, hi));
+        EXPECT_EQ(idx.unmovablePagesIn(lo, hi),
+                  t.count(t.unmov, lo, hi));
+        EXPECT_EQ(idx.movableMtPagesIn(lo, hi),
+                  t.count(t.movableMt, lo, hi));
+        EXPECT_EQ(idx.firstAllocatedFrame(lo, hi),
+                  t.first(t.alloc, lo, hi));
+        EXPECT_EQ(idx.firstUnmovableFrame(lo, hi),
+                  t.first(t.unmov, lo, hi));
+        EXPECT_EQ(idx.firstMovableMtFrame(lo, hi),
+                  t.first(t.movableMt, lo, hi));
+        for (unsigned o = 0; o <= maxOrder; ++o) {
+            const Pfn span = Pfn{1} << o;
+            const Pfn b = hi & ~(span - 1);
+            const Pfn a = std::min(b, (lo + span - 1) & ~(span - 1));
+            EXPECT_EQ(idx.fullyFreeBlocksIn(a, b, o),
+                      t.blocks(a, b, o, true))
+                << "order " << o;
+            EXPECT_EQ(idx.taintedBlocksIn(a, b, o),
+                      t.blocks(a, b, o, false))
+                << "order " << o;
+            EXPECT_EQ(idx.firstFullyFreeSpan(o, lo, hi, AddrPref::Low),
+                      t.span(o, lo, hi, false))
+                << "order " << o;
+            EXPECT_EQ(idx.firstFullyFreeSpan(o, lo, hi, AddrPref::High),
+                      t.span(o, lo, hi, true))
+                << "order " << o;
+        }
+    }
+
+    // Every node of orders 1..8, the partial tail node included.
+    for (unsigned o = 1; o <= maxOrder; ++o) {
+        const Pfn span = Pfn{1} << o;
+        for (std::uint64_t i = 0; i < (n + span - 1) / span; ++i) {
+            const Pfn lo = i * span;
+            const Pfn hi = std::min(n, lo + span);
+            ASSERT_EQ(idx.nodeFreePages(o, i), t.count(t.free, lo, hi))
+                << "order " << o << " node " << i;
+            ASSERT_EQ(idx.nodeUnmovablePages(o, i),
+                      t.count(t.unmov, lo, hi))
+                << "order " << o << " node " << i;
+        }
+    }
+
+    // Pageblocks: classification (tail clamped) and the mixed ones.
+    for (Pfn b = 0; b < n; b += pagesPerHuge) {
+        const Pfn e = std::min<Pfn>(n, b + pagesPerHuge);
+        const std::uint64_t unmov = t.count(t.unmov, b, e);
+        const ContigIndex::BlockClass c = idx.blockClass(b);
+        EXPECT_EQ(c.free, t.count(t.free, b, e)) << "block " << b;
+        EXPECT_EQ(c.unmovable, unmov) << "block " << b;
+        EXPECT_EQ(c.pinned, t.count(t.pinned, b, e)) << "block " << b;
+        EXPECT_EQ(c.movableAlloc, t.count(t.alloc, b, e) - unmov)
+            << "block " << b;
+    }
+    const Pfn whole = n & ~Pfn{pagesPerHuge - 1};
+    std::uint64_t mixed = 0;
+    Pfn next = idx.firstMixedBlock(0, whole);
+    for (Pfn b = 0; b < whole; b += pagesPerHuge) {
+        if (!t.mixed(b))
+            continue;
+        ++mixed;
+        EXPECT_EQ(next, b);
+        next = idx.nextMixedBlock(b, whole);
+    }
+    EXPECT_EQ(next, invalidPfn);
+    EXPECT_EQ(idx.mixedBlocksIn(0, whole), mixed);
+}
+
+/** Every query at orders 0..8 stays exact under random frame states,
+ * on machines whose last word and last tree nodes are partial as
+ * well as on a whole number of pageblocks. */
+TEST(ContigIndexProperty, WordLayerMatchesLinearClassification)
+{
+    for (const Pfn n : {Pfn{4096}, Pfn{4096 + 37}, Pfn{1000}}) {
+        FrameArray frames(n);
+        ContigIndex idx(frames);
+        Rng rng(0x3d0 + n);
+        for (int round = 0; round < 16; ++round) {
+            scribble(frames, idx, rng, 1 + rng.below(12));
+            if (round % 4 == 3) {
+                EXPECT_TRUE(idx == ContigIndex(frames)) << "n " << n;
+            }
+            expectWordLayerExact(idx, frames, wordEdgeRanges(n, rng));
+            if (::testing::Test::HasFailure())
+                FAIL() << "n " << n << " diverged at round " << round;
+        }
     }
 }
 

@@ -263,6 +263,50 @@ TEST(AccessStreamTest, AddressesStayInRegions)
     }
 }
 
+TEST(AccessStreamTest, ProductionKindsKeepTheirProfiles)
+{
+    struct Expected
+    {
+        WorkloadKind kind;
+        std::uint64_t dataBytes, codeBytes;
+        double dataTheta, codeTheta, writeFrac;
+    };
+    const Expected expected[] = {
+        {WorkloadKind::Web, 10_GiB, 768_MiB, 0.55, 0.5, 0.3},
+        {WorkloadKind::CacheA, 12_GiB, 64_MiB, 0.6, 0.75, 0.35},
+        {WorkloadKind::CacheB, 11_GiB, 48_MiB, 0.62, 0.8, 0.4},
+        {WorkloadKind::Memcached, 6_GiB, 16_MiB, 0.6, 0.85, 0.4},
+        {WorkloadKind::Nginx, 1_GiB, 24_MiB, 0.7, 0.85, 0.3},
+        {WorkloadKind::CI, 4_GiB, 512_MiB, 0.6, 0.6, 0.35},
+    };
+    for (const Expected &e : expected) {
+        const AccessProfile p = makeAccessProfile(e.kind);
+        EXPECT_EQ(p.dataBytes, e.dataBytes) << workloadName(e.kind);
+        EXPECT_EQ(p.codeBytes, e.codeBytes) << workloadName(e.kind);
+        EXPECT_EQ(p.dataZipfTheta, e.dataTheta) << workloadName(e.kind);
+        EXPECT_EQ(p.codeZipfTheta, e.codeTheta) << workloadName(e.kind);
+        EXPECT_EQ(p.writeFrac, e.writeFrac) << workloadName(e.kind);
+        EXPECT_EQ(p.computePerOp, AccessProfile{}.computePerOp)
+            << workloadName(e.kind);
+    }
+}
+
+TEST(AccessStreamTest, AgingKindsHaveNoAccessProfile)
+{
+    for (const WorkloadKind kind :
+         {WorkloadKind::Aging, WorkloadKind::FsCacheHeavy,
+          WorkloadKind::UnmovableBursty}) {
+        try {
+            makeAccessProfile(kind);
+            ADD_FAILURE() << workloadName(kind) << " was accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(workloadName(kind)),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(AccessStreamTest, WriteFractionRespected)
 {
     AccessProfile profile;
