@@ -4,23 +4,19 @@
  * hold. Runs a fig11-shaped population (mixed workload kinds,
  * intensity 0.7-1.3, 25% pre-fragmented, half stock Linux and half
  * Contiguitas) at the scale tier — small machines, short uptimes,
- * streaming scan sinks, coarse stepping, pooled per-worker server
- * arenas — and reports the numbers that bound population size:
- * frame-table bytes/frame, peak RSS (per shard when sharded),
- * servers/second and host heap allocations per server.
+ * streaming scan sinks, coarse stepping — and reports the numbers
+ * that bound population size: frame-table bytes/frame, peak RSS (per
+ * shard when sharded) and servers/second.
  *
  * Defaults to 100,000 servers; `--servers` and `--mem-mb` rescale.
  * `--threads` sets worker threads per process (0 = auto), `--shards`
  * forks that many worker processes over contiguous server ranges
- * (the 10^6-tier path), and `--coarse` / `--pool` toggle the scale
- * stepping mode and the server-arena pool (both on by default here;
- * both default off/on respectively elsewhere — see CTG_COARSE_STEP /
- * CTG_SLOT_POOL). The `--json BENCH_fleet.json` output carries, per
- * system, the measured `bytes_per_frame` next to
- * `bytes_per_frame_aos`, plus `allocs_per_server` next to the
- * churn-baseline `allocs_per_server_churn` a small pool-off probe
- * measures, so CI trend-tracks both the >= 2x footprint reduction
- * and the >= 10x allocation reduction directly.
+ * (the 10^6-tier path), and `--coarse` toggles the scale stepping
+ * mode (on by default here, off elsewhere — see CTG_COARSE_STEP).
+ * The `--json BENCH_fleet.json` output carries, per system, the
+ * measured `bytes_per_frame` next to `bytes_per_frame_aos`, so CI
+ * trend-tracks the >= 2x footprint reduction directly, and the
+ * process's `peak_rss_mb`.
  */
 
 #include <algorithm>
@@ -28,10 +24,8 @@
 #include <string>
 #include <vector>
 
-#include "base/arena.hh"
 #include "base/host_mem.hh"
 #include "bench/bench_util.hh"
-#include "fleet/server_slot.hh"
 #include "fleet/sharding.hh"
 
 using namespace ctg;
@@ -52,8 +46,6 @@ struct PopulationResult
     double sideEntriesPerKiloFrame = 0.0;
     /** Population size this result covers. */
     std::uint64_t servers = 0;
-    /** Host heap allocations across the run (summed over shards). */
-    std::uint64_t heapAllocs = 0;
     /** Per-shard accounting (one entry when unsharded). */
     std::vector<ShardStats> shards;
 };
@@ -64,8 +56,7 @@ struct PopulationResult
  * magnitude, is the point of this bench). */
 Fleet::Config
 scaleConfig(bool contiguitas, unsigned servers,
-            std::uint64_t mem_bytes, unsigned threads, bool coarse,
-            bool pool)
+            std::uint64_t mem_bytes, unsigned threads, bool coarse)
 {
     Fleet::Config config;
     config.servers = servers;
@@ -79,7 +70,6 @@ scaleConfig(bool contiguitas, unsigned servers,
     config.streamScans = true;
     config.threads = threads;
     config.coarseStep = coarse;
-    config.slotPool = pool;
     config.seed = 0x5ca1e ^ (contiguitas ? 1 : 0);
     config.applyEnvOverlay();
     return config;
@@ -88,9 +78,8 @@ scaleConfig(bool contiguitas, unsigned servers,
 /** Frame-table footprint probe: run one representative server of
  * this population to its scan and measure the table it ends with.
  * The fleet's servers are transient (created and destroyed per
- * task), so the probe runs one through a pooled ServerSlot — the
- * same storage discipline fleet workers use — starting from the
- * fleet's own stamped base config. */
+ * task), so the probe builds its own from the fleet's stamped base
+ * config. */
 void
 probeFootprint(const Fleet &fleet, PopulationResult *out)
 {
@@ -101,10 +90,7 @@ probeFootprint(const Fleet &fleet, PopulationResult *out)
     sc.uptimeSec = fleet.config().minUptimeSec;
     sc.seed = 0xf00d;
     sc.applyEnvOverlay();
-    ServerSlot slot;
-    slot.begin();
-    const ArenaScope scope(slot.arena());
-    Server &server = slot.construct(sc);
+    Server server(sc);
     server.run();
     const FrameArray &frames = server.kernel().mem().frames();
     const double n =
@@ -117,11 +103,10 @@ probeFootprint(const Fleet &fleet, PopulationResult *out)
 PopulationResult
 runPopulation(bool contiguitas, unsigned servers,
               std::uint64_t mem_bytes, unsigned threads,
-              unsigned shards, bool coarse, bool pool,
-              std::string *stats_json)
+              unsigned shards, bool coarse, std::string *stats_json)
 {
     const Fleet::Config config = scaleConfig(
-        contiguitas, servers, mem_bytes, threads, coarse, pool);
+        contiguitas, servers, mem_bytes, threads, coarse);
     const char *prefix = contiguitas ? "fleet.ctg" : "fleet.linux";
 
     PopulationResult result;
@@ -139,8 +124,6 @@ runPopulation(bool contiguitas, unsigned servers,
         result.meanUnmovableBlocks2m =
             run.sinks.unmovableBlocks2m.mean();
         result.shards = run.shards;
-        for (const ShardStats &s : run.shards)
-            result.heapAllocs += s.heapAllocs;
         // The probe needs the shared tables, not a run.
         const Fleet fleet(config);
         probeFootprint(fleet, &result);
@@ -155,9 +138,7 @@ runPopulation(bool contiguitas, unsigned servers,
         StatRegistry registry;
         fleet.attachTelemetry(registry, nullptr, prefix);
         bench::regFaultStats(registry);
-        const std::uint64_t allocsBefore = heapAllocCount();
         fleet.run();
-        result.heapAllocs = heapAllocCount() - allocsBefore;
         result.wallMs = fleet.lastRunWallMs();
         result.threads = fleet.lastRunThreads();
         result.meanFreeContiguity2m =
@@ -169,7 +150,6 @@ runPopulation(bool contiguitas, unsigned servers,
         stats.end = servers;
         stats.wallMs = result.wallMs;
         stats.peakRssBytes = peakRssBytes();
-        stats.heapAllocs = result.heapAllocs;
         result.shards.push_back(stats);
         probeFootprint(fleet, &result);
         *stats_json += registry.jsonLines();
@@ -198,35 +178,14 @@ runPopulation(bool contiguitas, unsigned servers,
         *stats_json += line;
         if (result.shards.size() > 1) {
             std::printf("  %s shard %zu: servers [%u, %u) wall "
-                        "%.0f ms rss %.0f MiB allocs/server %.0f\n",
+                        "%.0f ms rss %.0f MiB\n",
                         contiguitas ? "ctg  " : "linux", s,
                         shard.begin, shard.end, shard.wallMs,
                         static_cast<double>(shard.peakRssBytes) /
-                            (1024.0 * 1024.0),
-                        static_cast<double>(shard.heapAllocs) /
-                            std::max(1.0,
-                                     static_cast<double>(
-                                         shard.end - shard.begin)));
+                            (1024.0 * 1024.0));
         }
     }
     return result;
-}
-
-/** Heap allocations per server with the slot pool off — the churn
- * baseline the pooled gauge is compared against. Probed on a small
- * population; per-server allocation cost is size-independent. */
-std::uint64_t
-churnProbeAllocs(bool contiguitas, unsigned servers,
-                 std::uint64_t mem_bytes, unsigned threads,
-                 bool coarse)
-{
-    const Fleet::Config config =
-        scaleConfig(contiguitas, servers, mem_bytes, threads,
-                    coarse, /*pool=*/false);
-    Fleet fleet(config);
-    const std::uint64_t before = heapAllocCount();
-    fleet.run();
-    return heapAllocCount() - before;
 }
 
 } // namespace
@@ -239,7 +198,6 @@ main(int argc, char **argv)
     std::string threads_s = "0";
     std::string shards_s = "1";
     std::string coarse_s = "1";
-    std::string pool_s = "1";
     bench::parseArgs(
         argc, argv,
         {{"servers", &servers_s,
@@ -250,9 +208,7 @@ main(int argc, char **argv)
          {"shards", &shards_s,
           "worker processes over contiguous server ranges"},
          {"coarse", &coarse_s,
-          "scale stepping: batch idle workload segments (0/1)"},
-         {"pool", &pool_s,
-          "pooled per-worker server arenas (0/1)"}});
+          "scale stepping: batch idle workload segments (0/1)"}});
     const unsigned servers = static_cast<unsigned>(
         bench::flagU64(servers_s, "servers"));
     const std::uint64_t memBytes =
@@ -262,48 +218,24 @@ main(int argc, char **argv)
     const unsigned shards = std::max<unsigned>(
         1, static_cast<unsigned>(bench::flagU64(shards_s, "shards")));
     const bool coarse = bench::flagU64(coarse_s, "coarse") != 0;
-    const bool pool = bench::flagU64(pool_s, "pool") != 0;
 
     bench::banner("Fleet scale",
                   "10^5-10^6-server population capacity study");
     std::printf("(population: %u servers at %llu MiB each, scale "
-                "tier, %u shard%s, coarse=%d pool=%d)\n",
+                "tier, %u shard%s, coarse=%d)\n",
                 servers,
                 static_cast<unsigned long long>(memBytes >> 20),
-                shards, shards == 1 ? "" : "s", int(coarse),
-                int(pool));
+                shards, shards == 1 ? "" : "s", int(coarse));
 
     std::string stats_json;
     bench::WallTimer wall;
     const PopulationResult linux_pop =
         runPopulation(false, servers / 2, memBytes, threads, shards,
-                      coarse, pool, &stats_json);
+                      coarse, &stats_json);
     const PopulationResult ctg_pop =
         runPopulation(true, servers - servers / 2, memBytes, threads,
-                      shards, coarse, pool, &stats_json);
+                      shards, coarse, &stats_json);
     const double totalWallMs = wall.ms();
-
-    // Churn baseline: a small pool-off population per system, sized
-    // to keep the probe a rounding error of the main run.
-    const unsigned churnLinuxServers =
-        std::min(1000u, std::max(1u, servers / 2));
-    const unsigned churnCtgServers =
-        std::min(1000u, std::max(1u, servers - servers / 2));
-    const std::uint64_t churnAllocs =
-        churnProbeAllocs(false, churnLinuxServers, memBytes, threads,
-                         coarse) +
-        churnProbeAllocs(true, churnCtgServers, memBytes, threads,
-                         coarse);
-    const double churnPerServer =
-        static_cast<double>(churnAllocs) /
-        static_cast<double>(churnLinuxServers + churnCtgServers);
-    const double pooledPerServer =
-        static_cast<double>(linux_pop.heapAllocs +
-                            ctg_pop.heapAllocs) /
-        static_cast<double>(servers);
-    const double allocReduction =
-        pooledPerServer > 0.0 ? churnPerServer / pooledPerServer
-                              : 0.0;
 
     const double serversPerSec =
         1000.0 * static_cast<double>(servers) / totalWallMs;
@@ -351,9 +283,6 @@ main(int argc, char **argv)
                 serversPerSec, servers, shards,
                 shards == 1 ? "" : "s", linux_pop.threads,
                 totalWallMs);
-    std::printf("Heap allocations: %.0f/server pooled vs %.0f/server "
-                "churn baseline (%.1fx reduction)\n",
-                pooledPerServer, churnPerServer, allocReduction);
     std::printf("Peak RSS: %.0f MiB (max over %s)\n", peakRssMb,
                 shards == 1 ? "the process" : "parent and shards");
 
@@ -382,26 +311,6 @@ main(int argc, char **argv)
                   "{\"name\":\"fleet.coarse_step\",\"kind\":"
                   "\"gauge\",\"value\":%d}\n",
                   int(coarse));
-    stats_json += line;
-    std::snprintf(line, sizeof(line),
-                  "{\"name\":\"fleet.slot_pool\",\"kind\":\"gauge\","
-                  "\"value\":%d}\n",
-                  int(pool));
-    stats_json += line;
-    std::snprintf(line, sizeof(line),
-                  "{\"name\":\"fleet.allocs_per_server\",\"kind\":"
-                  "\"gauge\",\"value\":%.1f}\n",
-                  pooledPerServer);
-    stats_json += line;
-    std::snprintf(line, sizeof(line),
-                  "{\"name\":\"fleet.allocs_per_server_churn\","
-                  "\"kind\":\"gauge\",\"value\":%.1f}\n",
-                  churnPerServer);
-    stats_json += line;
-    std::snprintf(line, sizeof(line),
-                  "{\"name\":\"fleet.alloc_reduction_x\",\"kind\":"
-                  "\"gauge\",\"value\":%.2f}\n",
-                  allocReduction);
     stats_json += line;
     std::snprintf(line, sizeof(line),
                   "{\"name\":\"fleet.bytes_per_frame\",\"kind\":"

@@ -122,11 +122,6 @@ EnvConfig::fromEnv()
                       env);
     }
 
-    if (const char *env = std::getenv("CTG_SLOT_POOL")) {
-        if (!parseBool(env, &config.slotPool))
-            warn_once("ignoring malformed CTG_SLOT_POOL '%s'", env);
-    }
-
     if (const char *env = std::getenv("CTG_POLICY"))
         config.policySpec = env;
 

@@ -81,14 +81,6 @@ struct EnvConfig
      * bench turns it on). */
     bool coarseStep = false;
 
-    /** CTG_SLOT_POOL: fleet workers recycle per-thread ServerSlot
-     * arenas across tasks instead of constructing every server on
-     * the host heap (default on; bit-identical either way — the
-     * pooled-vs-fresh equivalence suite pins it). "0" restores the
-     * construct-per-task baseline, which is also how the scale
-     * bench measures its alloc-count reduction. */
-    bool slotPool = true;
-
     /** CTG_POLICY: placement-policy spec "name[:key=val,...]"
      * (registry names: vanilla, contiguitas, contiguitas-nobias,
      * zone-movable, ...). Kept as the raw string here — the

@@ -18,14 +18,6 @@ namespace ctg
  * ru_maxrss), or 0 where the platform cannot report it. */
 std::uint64_t peakRssBytes();
 
-/** Host-heap allocations performed by this process so far: every
- * operator-new call that was *not* served by an active task arena
- * (see base/arena.hh, where the counter lives). The fleet-scale
- * bench reads a delta of this around each run — the pooled path
- * must show >= 10x fewer host allocations per simulated server than
- * the construct-per-task baseline. Monotonic, relaxed. */
-std::uint64_t heapAllocCount();
-
 } // namespace ctg
 
 #endif // CTG_BASE_HOST_MEM_HH

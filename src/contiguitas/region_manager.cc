@@ -36,9 +36,12 @@ RegionManager::RegionManager(PhysMem &mem, OwnerRegistry &owners,
     config_.minUnmovablePages =
         roundUpToAlign(config_.minUnmovablePages);
 
-    const Pfn boundary = std::clamp(
-        roundUpToAlign(config_.initialUnmovablePages),
-        config_.minUnmovablePages, total / 2);
+    // Not std::clamp: on a machine small enough that the minimum
+    // exceeds half of it, lo > hi, and the half-machine cap wins.
+    const Pfn boundary = std::min(
+        std::max(roundUpToAlign(config_.initialUnmovablePages),
+                 config_.minUnmovablePages),
+        total / 2);
     unmovable_ = std::make_unique<BuddyAllocator>(
         mem, 0, boundary, "unmovable", MigrateType::Unmovable);
     movable_ = std::make_unique<BuddyAllocator>(

@@ -7,14 +7,12 @@
 #include <optional>
 #include <thread>
 
-#include "base/arena.hh"
 #include "base/env_config.hh"
 #include "base/host_mem.hh"
 #include "base/logging.hh"
 #include "base/rng.hh"
 #include "base/span_trace.hh"
 #include "base/trace.hh"
-#include "fleet/server_slot.hh"
 #include "sim/executor.hh"
 #include "sim/fault_injector.hh"
 #include "sim/snapshot.hh"
@@ -38,8 +36,6 @@ Fleet::Config::applyEnvOverlay()
         exactPref = env.exactPref;
     if (!coarseStep)
         coarseStep = env.coarseStep;
-    if (!slotPool)
-        slotPool = env.slotPool;
     if (!streamScans)
         streamScans = env.streamScans;
     if (checkpointDir.empty())
@@ -51,21 +47,20 @@ Fleet::Config::applyEnvOverlay()
 namespace
 {
 
-/** Resolve the named workload override against workloadKey(),
- * falling back to the deprecated enum field. An unknown name warns
- * and defers to the enum shim (then to the sampled mix) — a typo in
+/** Resolve the named workload override against workloadKey(). An
+ * unknown name warns and leaves the sampled mix in place — a typo in
  * CTG_WORKLOAD must not silently pick a kind. */
 std::optional<WorkloadKind>
 resolvedKindOverride(const Fleet::Config &config)
 {
-    if (!config.workloadOverride.empty()) {
-        WorkloadKind kind = WorkloadKind::Web;
-        if (parseWorkloadKind(config.workloadOverride, &kind))
-            return kind;
-        warn_once("ignoring unknown workload override '%s'",
-                  config.workloadOverride.c_str());
-    }
-    return config.kindOverride;
+    if (config.workloadOverride.empty())
+        return std::nullopt;
+    WorkloadKind kind = WorkloadKind::Web;
+    if (parseWorkloadKind(config.workloadOverride, &kind))
+        return kind;
+    warn_once("ignoring unknown workload override '%s'",
+              config.workloadOverride.c_str());
+    return std::nullopt;
 }
 
 } // namespace
@@ -208,7 +203,7 @@ Fleet::run()
         WorkloadKind::CacheB, WorkloadKind::CI,
         WorkloadKind::Nginx,  WorkloadKind::Memcached,
     };
-    const std::optional<WorkloadKind> kindOverride =
+    const std::optional<WorkloadKind> pinnedKind =
         resolvedKindOverride(config_);
 
     // Pre-sample every server's configuration from the fleet RNG on
@@ -228,8 +223,8 @@ Fleet::run()
         sc = base;
         sc.kind = kinds[rng.below(std::size(kinds))];
         // Applied after the draw so the seed stream is unchanged.
-        if (kindOverride)
-            sc.kind = *kindOverride;
+        if (pinnedKind)
+            sc.kind = *pinnedKind;
         sc.intensity =
             config_.minIntensity +
             rng.uniform() * (config_.maxIntensity -
@@ -297,26 +292,15 @@ Fleet::run()
     std::map<std::thread::id, ScanSinks> workerSinks;
     streamSinks_ = ScanSinks{};
 
-    // Pooled per-worker server storage (the fleet-scale fast path):
-    // one ServerSlot per worker thread, its arena reset and reused
-    // across tasks. Slots are keyed by thread id under a mutex, the
-    // same pattern as workerSinks — the executor has no worker-index
-    // API, and one short lock per server is noise next to the ~ms of
-    // simulation it brackets.
-    const bool pooled = config_.slotPool.value_or(
-        sim::EnvConfig::fromEnv().slotPool);
-    std::mutex slotsMu;
-    std::map<std::thread::id, std::unique_ptr<ServerSlot>> slots;
-
-    // The task body, shared by the pooled and fresh paths. With a
-    // slot, the caller has already opened an ArenaScope: every
-    // allocation below lands in the slot's arena and dies at the
-    // next task's rewind, so everything that outlives the task —
-    // trace text, span events, the manifest entry — is deep-copied
-    // into `out` under ArenaSuspend before returning. ServerScan is
-    // all-POD and assigns safely either way.
-    const auto runOne = [&](unsigned i, const Server::Config &sc,
-                            TaskResult &out, ServerSlot *slot) {
+    {
+    CTG_SPAN(Fleet, "fleet.simulate",
+             {{"servers", count}, {"threads", runThreads_}});
+    // One task: construct the server, run it, scan it, destroy it.
+    executor.run(count, [&](std::size_t task) {
+        const unsigned i = lo + static_cast<unsigned>(task);
+        const Server::Config &sc = configs[i];
+        TaskResult &out = results[task];
+        out.faults = ambient.forkForTask(i);
         trace::ThreadCapture capture;
         std::optional<spans::Capture> spanCapture;
         if (spansOn)
@@ -355,15 +339,9 @@ Fleet::run()
                             snap::readImageFile(config_.restoreDir +
                                                 "/" + entry->file);
                         snap::validateAgainstManifest(*entry, bytes);
-                        std::unique_ptr<Server> server =
-                            decodeSnapshot(sc, bytes, &out.faults);
-                        if (slot != nullptr) {
-                            out.scan =
-                                slot->adopt(std::move(server))
-                                    .resume();
-                        } else {
-                            out.scan = server->resume();
-                        }
+                        out.scan = decodeSnapshot(sc, bytes,
+                                                  &out.faults)
+                                       ->resume();
                         restored = true;
                     } catch (const serde::Error &e) {
                         warn("server %u: snapshot restore failed "
@@ -371,17 +349,9 @@ Fleet::run()
                     }
                 }
             }
-            // Fresh construction: into the slot's arena when pooled
-            // (no rewind — a restore fallback must not clobber the
-            // captures above), on the stack otherwise.
             std::optional<Server> localServer;
-            const auto makeServer = [&]() -> Server & {
-                if (slot != nullptr)
-                    return slot->construct(sc);
-                return localServer.emplace(sc);
-            };
             if (!restored && checkpointing) {
-                Server &server = makeServer();
+                Server &server = localServer.emplace(sc);
                 server.runToCheckpoint();
                 snap::ManifestEntry entry;
                 entry.server = i;
@@ -400,16 +370,13 @@ Fleet::run()
                     localEntry = std::move(entry);
                 out.scan = server.resume();
             } else if (!restored) {
-                out.scan = makeServer().run();
+                out.scan = localServer.emplace(sc).run();
             }
             srv_span.arg("free_2m_bp",
                          static_cast<std::int64_t>(
                              out.scan.freeContiguity[0] * 10000.0));
         }
         if (config_.streamScans) {
-            // The sink map nodes and histogram buckets outlive the
-            // task, so they must come from the heap, not the arena.
-            const ArenaSuspend off;
             const std::lock_guard<std::mutex> lock(sinksMu);
             workerSinks[std::this_thread::get_id()].absorb(out.scan);
         }
@@ -418,84 +385,10 @@ Fleet::run()
                     "unmovable_blocks_2m=%.3f",
                     i, out.scan.freeContiguity[0],
                     out.scan.unmovableBlocks[0]);
-        if (slot == nullptr) {
-            out.traceText = capture.take();
-            if (spanCapture)
-                out.spanEvents = spanCapture->take();
-            out.snapEntry = std::move(localEntry);
-            return;
-        }
-        // Pooled: the captured buffers are arena-backed. Take them
-        // first (still inside the scope), then deep-copy element by
-        // element with the arena suspended so the copies survive the
-        // rewind. Event name/key pointers are static literals, safe
-        // to carry across tasks.
-        const std::string traceText = capture.take();
-        std::vector<spans::Event> events;
+        out.traceText = capture.take();
         if (spanCapture)
-            events = spanCapture->take();
-        const ArenaSuspend off;
-        out.traceText.assign(traceText.begin(), traceText.end());
-        out.spanEvents.assign(events.begin(), events.end());
-        if (localEntry) {
-            snap::ManifestEntry deep;
-            deep.server = localEntry->server;
-            deep.bytes = localEntry->bytes;
-            deep.crc = localEntry->crc;
-            deep.file.assign(localEntry->file.begin(),
-                             localEntry->file.end());
-            out.snapEntry = std::move(deep);
-        }
-    };
-
-    {
-    CTG_SPAN(Fleet, "fleet.simulate",
-             {{"servers", count}, {"threads", runThreads_}});
-    executor.run(count, [&](std::size_t task) {
-        const unsigned i = lo + static_cast<unsigned>(task);
-        const Server::Config &sc = configs[i];
-        TaskResult &out = results[task];
-        // Heap-free, so safe to fork before any arena is active.
-        out.faults = ambient.forkForTask(i);
-        if (!pooled) {
-            runOne(i, sc, out, nullptr);
-            return;
-        }
-        ServerSlot *slot = nullptr;
-        {
-            const std::lock_guard<std::mutex> lock(slotsMu);
-            std::unique_ptr<ServerSlot> &entry =
-                slots[std::this_thread::get_id()];
-            if (entry == nullptr)
-                entry = std::make_unique<ServerSlot>();
-            slot = entry.get();
-        }
-        // Rewind before the scope opens: the rewind invalidates the
-        // previous task's arena contents, so nothing this task has
-        // allocated may predate it.
-        slot->begin();
-        const ArenaScope arenaScope(slot->arena());
-        try {
-            runOne(i, sc, out, slot);
-        } catch (const PanicError &e) {
-            // Exception messages are arena-backed; rethrow a deep
-            // copy built off-arena, preserving the concrete types
-            // tests and callers catch. bad_alloc carries a static
-            // message and propagates as-is.
-            const ArenaSuspend off;
-            throw PanicError(std::string(e.what()));
-        } catch (const FatalError &e) {
-            const ArenaSuspend off;
-            throw FatalError(std::string(e.what()));
-        } catch (const serde::Error &e) {
-            const ArenaSuspend off;
-            throw serde::Error(std::string(e.what()));
-        } catch (const std::bad_alloc &) {
-            throw;
-        } catch (const std::exception &e) {
-            const ArenaSuspend off;
-            throw std::runtime_error(std::string(e.what()));
-        }
+            out.spanEvents = spanCapture->take();
+        out.snapEntry = std::move(localEntry);
     });
     }
 

@@ -72,15 +72,10 @@ class Fleet
          * vocabulary: "web", "cache-a", ..., "aging") instead of
          * sampling the standard six-kind mix — population studies of
          * a single workload (Figure 11 cells). Empty defers to
-         * CTG_WORKLOAD, then to the deprecated kindOverride below.
-         * The kind draw is still taken from the fleet RNG so the
+         * CTG_WORKLOAD. The kind draw is still taken from the fleet RNG so the
          * rest of the seed stream is unchanged. Unknown names warn
          * and leave the sampled mix in place. */
         std::string workloadOverride;
-        /** DEPRECATED (one-release shim): enum-typed form of
-         * workloadOverride; ignored whenever workloadOverride or
-         * CTG_WORKLOAD names a kind. Use workloadOverride. */
-        std::optional<WorkloadKind> kindOverride;
         /** Per-server ContigIndex read toggle, copied into every
          * Server::Config (nullopt = CTG_CONTIG_INDEX, default on). */
         std::optional<bool> contigIndexReads;
@@ -92,14 +87,6 @@ class Fleet
          * Changes results (deliberately coarser model), so it is
          * part of both config fingerprints. */
         std::optional<bool> coarseStep;
-        /** Pooled per-worker server arenas (nullopt = CTG_SLOT_POOL,
-         * default on): each worker thread keeps one ServerSlot whose
-         * arena backs every allocation a server task makes, reset
-         * and reused across tasks instead of churning the heap.
-         * Results are bit-identical either way; "false" restores the
-         * per-task-churn baseline (the pool equivalence tests pin
-         * this). */
-        std::optional<bool> slotPool;
         /** Fold each server's scan into streaming per-worker
          * OnlineHistogram sinks as tasks finish, merged after the
          * run (scanSinks()). The sinks answer quantile/CDF queries
@@ -142,7 +129,7 @@ class Fleet
 
         /** Overlay environment-derived fields (sim::EnvConfig) onto
          * any still-unset knobs (threads, contigIndexReads,
-         * exactPref, coarseStep, slotPool, streamScans,
+         * exactPref, coarseStep, streamScans,
          * checkpointDir, restoreDir). */
         void applyEnvOverlay();
     };
@@ -252,9 +239,10 @@ class Fleet
  * knobs excluded — they are bit-identical by contract). Stamped into
  * the checkpoint manifest; a restore against a different fleet
  * configuration is refused up front. The workload override is mixed
- * in resolved form, so CTG_WORKLOAD=cache-b and the deprecated
- * kindOverride=CacheB fingerprint identically — they configure the
- * same population. */
+ * in resolved form, so CTG_WORKLOAD=cache-b and
+ * workloadOverride="cache-b" fingerprint identically, and an unknown
+ * name fingerprints as no override — each pair configures the same
+ * population. */
 std::uint64_t fleetConfigFingerprint(const Fleet::Config &config);
 
 } // namespace ctg

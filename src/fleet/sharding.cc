@@ -36,7 +36,7 @@ enum ShardSection : std::uint32_t
 };
 
 constexpr std::uint32_t shardStreamMagic = 0x43544748; // "CTGH"
-constexpr std::uint32_t shardFormatVersion = 1;
+constexpr std::uint32_t shardFormatVersion = 2;
 
 void
 writeFully(int fd, const std::uint8_t *data, std::size_t len)
@@ -177,7 +177,6 @@ runShardChild(Fleet::Config config, unsigned shard, unsigned lo,
     std::array<FaultInjector::SiteStats, numFaultSites> before{};
     for (unsigned s = 0; s < numFaultSites; ++s)
         before[s] = ambient.siteStats(static_cast<FaultSite>(s));
-    const std::uint64_t allocsBefore = heapAllocCount();
 
     Fleet fleet(config);
     const std::vector<ServerScan> scans = fleet.run();
@@ -243,7 +242,6 @@ runShardChild(Fleet::Config config, unsigned shard, unsigned lo,
     out.beginSection(SecGauges);
     out.putDouble(fleet.lastRunWallMs());
     out.putU64(peakRssBytes());
-    out.putU64(heapAllocCount() - allocsBefore);
     out.endSection();
 
     writeFully(fd, out.bytes().data(), out.bytes().size());
@@ -338,7 +336,6 @@ decodeShard(const std::vector<std::uint8_t> &blob, unsigned shard,
           case SecGauges:
             payload.stats.wallMs = p.getDouble();
             payload.stats.peakRssBytes = p.getU64();
-            payload.stats.heapAllocs = p.getU64();
             sawGauges = true;
             break;
           default:
@@ -371,7 +368,6 @@ runShardedFleet(const Fleet::Config &config, unsigned shards,
 
     if (shards <= 1) {
         ShardRunResult result;
-        const std::uint64_t allocsBefore = heapAllocCount();
         Fleet fleet(cfg);
         std::vector<ServerScan> scans = fleet.run();
         if (includeScans)
@@ -382,7 +378,6 @@ runShardedFleet(const Fleet::Config &config, unsigned shards,
         stats.end = cfg.servers;
         stats.wallMs = fleet.lastRunWallMs();
         stats.peakRssBytes = peakRssBytes();
-        stats.heapAllocs = heapAllocCount() - allocsBefore;
         result.shards.push_back(stats);
         result.wallMs =
             std::chrono::duration<double, std::milli>(

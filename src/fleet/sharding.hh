@@ -55,10 +55,6 @@ struct ShardStats
     double wallMs = 0.0;
     /** Peak resident-set size of the shard process (bytes). */
     std::uint64_t peakRssBytes = 0;
-    /** Host heap allocations the shard performed during its run
-     * (base/host_mem heapAllocCount delta) — the gauge the pooled
-     * arena path is measured by. */
-    std::uint64_t heapAllocs = 0;
 };
 
 /** Merged results of a sharded fleet run. */

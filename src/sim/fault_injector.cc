@@ -3,7 +3,6 @@
 #include <cstdlib>
 #include <iterator>
 
-#include "base/arena.hh"
 #include "base/env_config.hh"
 #include "base/logging.hh"
 #include "base/serde.hh"
@@ -345,10 +344,6 @@ faultInjector()
 {
     if (tlsInjector != nullptr)
         return *tlsInjector;
-    // The ambient injector outlives every fleet task; if its lazy
-    // construction happens on a pooled worker, the allocation must
-    // bypass that thread's task arena.
-    const ArenaSuspend off;
     static FaultInjector *injector = [] {
         const sim::EnvConfig env = sim::EnvConfig::fromEnv();
         auto *inj = new FaultInjector(env.hasFaultSeed

@@ -219,6 +219,17 @@ TEST_F(RegionManagerTest, ShrinkRespectsMinimum)
     EXPECT_EQ(regions->shrinkUnmovable(huge_request), 0u);
 }
 
+TEST(RegionManager, MinimumAboveHalfOfSmallMachineCapsAtHalf)
+{
+    // The default 64 MiB minimum exceeds half of a 64 MiB machine:
+    // the half-machine cap wins over the minimum.
+    PhysMem mem(64_MiB);
+    OwnerRegistry owners;
+    const RegionManager regions(mem, owners, RegionManager::Config{});
+    EXPECT_EQ(regions.boundary(), mem.numFrames() / 2);
+    regions.checkConfinement();
+}
+
 TEST_F(RegionManagerTest, HwHookReceivesMigrations)
 {
     std::uint64_t hook_calls = 0;

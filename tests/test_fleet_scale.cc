@@ -18,7 +18,6 @@
 #include <filesystem>
 #include <vector>
 
-#include "base/arena.hh"
 #include "base/rng.hh"
 #include "base/serde.hh"
 #include "base/span_trace.hh"
@@ -951,96 +950,7 @@ TEST_F(FleetScaleTier, KiloServerSnapshotRoundTrip)
 }
 
 // ---------------------------------------------------------------
-// Task arena (base/arena)
-// ---------------------------------------------------------------
-
-TEST(Arena, AlignmentAndOwnership)
-{
-    Arena arena;
-    void *p = arena.allocate(24);
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % Arena::minAlign,
-              0u);
-    EXPECT_TRUE(arena.owns(p));
-
-    // Over-aligned requests must honor the requested alignment, not
-    // just the default.
-    void *q = arena.allocate(100, 64);
-    ASSERT_NE(q, nullptr);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(q) % 64, 0u);
-    EXPECT_TRUE(arena.owns(q));
-
-    int onStack = 0;
-    EXPECT_FALSE(arena.owns(&onStack));
-    EXPECT_GE(arena.bytesUsed(), 124u);
-}
-
-TEST(Arena, ResetConsolidatesToHighWaterSingleBlock)
-{
-    Arena arena;
-    // Overflow the first block (1 MiB) so the arena grows, then
-    // reset: the blocks must consolidate into one sized to the
-    // high-water mark, and a same-sized refill must not grow again.
-    constexpr std::size_t chunk = 64 * 1024;
-    constexpr unsigned chunks = 40; // 2.5 MiB
-    for (unsigned i = 0; i < chunks; ++i)
-        ASSERT_NE(arena.allocate(chunk), nullptr);
-    const std::uint64_t firstFill = arena.bytesUsed();
-    EXPECT_GT(arena.blockCount(), 1u);
-    EXPECT_GE(arena.highWaterBytes(), firstFill);
-
-    arena.reset();
-    EXPECT_EQ(arena.bytesUsed(), 0u);
-    EXPECT_EQ(arena.blockCount(), 1u);
-    EXPECT_GE(arena.highWaterBytes(), firstFill);
-
-    for (unsigned i = 0; i < chunks; ++i)
-        ASSERT_NE(arena.allocate(chunk), nullptr);
-    EXPECT_EQ(arena.blockCount(), 1u)
-        << "steady-state refill must fit the consolidated block";
-    arena.reset();
-}
-
-TEST(Arena, ScopeRoutesOperatorNewAndSuspendRestoresHeap)
-{
-    Arena arena;
-    EXPECT_EQ(activeArena(), nullptr);
-    {
-        const ArenaScope scope(arena);
-        EXPECT_EQ(activeArena(), &arena);
-
-        char *p = new char[100];
-        EXPECT_TRUE(arena.owns(p));
-
-        struct alignas(64) Wide
-        {
-            char bytes[64];
-        };
-        Wide *w = new Wide;
-        EXPECT_TRUE(arena.owns(w));
-        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(w) % 64, 0u);
-
-        char *heap = nullptr;
-        {
-            const ArenaSuspend off;
-            EXPECT_EQ(activeArena(), nullptr);
-            heap = new char[100];
-            EXPECT_FALSE(arena.owns(heap));
-        }
-        EXPECT_EQ(activeArena(), &arena);
-
-        // Arena-owned deletes are no-op frees; the heap pointer made
-        // under the suspend goes back to the host heap as usual.
-        delete w;
-        delete[] p;
-        delete[] heap;
-    }
-    EXPECT_EQ(activeArena(), nullptr);
-    arena.reset();
-}
-
-// ---------------------------------------------------------------
-// Pooled server slots: bit-identical to fresh construction
+// Thread-count identity: scans, sinks, spans and fault counters
 // ---------------------------------------------------------------
 
 /** Everything observable about a span event except wallUs (wall
@@ -1083,85 +993,92 @@ serverSpanRecords()
     return out;
 }
 
-TEST_F(FleetScaleTier, PooledSlotsMatchFreshConstructionBitExact)
+/** Everything a scale-tier run makes observable: scan bits, streamed
+ * quantiles, the run's delta of every fault site's evaluation/fire
+ * counters (values) and the per-server span records (spans). Spans
+ * are collected from a fresh collector; the injector is left as the
+ * caller armed it. */
+struct RunRecord
 {
-    // The pool is pure mechanism: reusing a worker's arena-backed
-    // ServerSlot across tasks must not move a bit of the scans, the
-    // streamed quantiles, or the span event streams relative to
-    // constructing every server from the host heap — at any thread
-    // count.
+    std::vector<std::uint64_t> values;
+    std::vector<std::string> spans;
+};
+
+RunRecord
+recordRun(const Fleet::Config &config)
+{
+    spans::resetForTest();
+    spans::enableAll();
+    std::vector<FaultInjector::SiteStats> before;
+    for (unsigned i = 0; i < numFaultSites; ++i)
+        before.push_back(
+            faultInjector().siteStats(static_cast<FaultSite>(i)));
+    Fleet fleet(config);
+    RunRecord record;
+    record.values = scansBits(fleet.run());
+    for (const double f : {0.0, 0.25, 0.5, 0.9, 1.0}) {
+        record.values.push_back(
+            bits(fleet.scanSinks().freeContiguity2m.quantile(f)));
+        record.values.push_back(
+            bits(fleet.scanSinks().unmovableBlocks2m.quantile(f)));
+    }
+    for (unsigned i = 0; i < numFaultSites; ++i) {
+        const auto &s =
+            faultInjector().siteStats(static_cast<FaultSite>(i));
+        record.values.push_back(s.evaluations - before[i].evaluations);
+        record.values.push_back(s.fires - before[i].fires);
+    }
+    record.spans = serverSpanRecords();
+    spans::resetForTest();
+    return record;
+}
+
+TEST_F(FleetScaleTier, ThreadCountsMatchScansSinksAndSpans)
+{
+    // Servers are built fresh per task on whichever worker picks the
+    // task up: the worker schedule must not move a bit of the scans,
+    // the streamed quantiles or the per-server span streams.
     for (const bool contiguitas : {false, true}) {
-        std::vector<std::uint64_t> baseline;
-        std::vector<std::string> baselineSpans;
-        struct Variant
-        {
-            bool pooled;
-            unsigned threads;
-        };
-        for (const Variant v : {Variant{false, 1}, Variant{true, 1},
-                                Variant{true, 4}, Variant{true, 8}}) {
-            spans::resetForTest();
-            spans::enableAll();
-            Fleet::Config config = scaleTierFleet(contiguitas, 16);
-            config.threads = v.threads;
-            config.slotPool = v.pooled;
-            Fleet fleet(config);
-            std::vector<std::uint64_t> record =
-                scansBits(fleet.run());
-            for (const double f : {0.0, 0.25, 0.5, 0.9, 1.0}) {
-                record.push_back(bits(
-                    fleet.scanSinks().freeContiguity2m.quantile(f)));
-                record.push_back(bits(
-                    fleet.scanSinks().unmovableBlocks2m.quantile(f)));
-            }
-            const std::vector<std::string> spanRecords =
-                serverSpanRecords();
-            spans::resetForTest();
-            if (baseline.empty()) {
-                baseline = record;
-                baselineSpans = spanRecords;
-                EXPECT_FALSE(baseline.empty());
-                EXPECT_FALSE(baselineSpans.empty());
-            } else {
-                EXPECT_EQ(record, baseline)
-                    << "pooled=" << v.pooled << " threads="
-                    << v.threads << " ctg=" << contiguitas;
-                EXPECT_EQ(spanRecords, baselineSpans)
-                    << "span drift, pooled=" << v.pooled
-                    << " threads=" << v.threads;
-            }
+        Fleet::Config config = scaleTierFleet(contiguitas, 16);
+        config.threads = 1;
+        const RunRecord baseline = recordRun(config);
+        EXPECT_FALSE(baseline.values.empty());
+        EXPECT_FALSE(baseline.spans.empty());
+        for (const unsigned threads : {4u, 8u}) {
+            config.threads = threads;
+            const RunRecord record = recordRun(config);
+            EXPECT_EQ(record.values, baseline.values)
+                << "threads=" << threads << " ctg=" << contiguitas;
+            EXPECT_EQ(record.spans, baseline.spans)
+                << "span drift, threads=" << threads;
         }
     }
 }
 
-TEST_F(FleetScaleTier, PooledSlotsMatchFreshWithEveryFaultSiteArmed)
+TEST_F(FleetScaleTier, ThreadCountsMatchWithEveryFaultSiteArmed)
 {
-    // Same contract under chaos: all 13 fault sites armed, pooled
-    // runs at several thread counts against the fresh-construction
-    // baseline — scans and the exact evaluation/fire counters.
-    const auto runVariant = [](bool pooled, unsigned threads) {
+    // Same contract under chaos: all 13 fault sites armed, the
+    // scans, quantiles, span streams and exact evaluation/fire
+    // counters at 4 and 8 threads against the sequential run.
+    const auto runArmed = [](unsigned threads) {
         faultInjector().reset(0xbadc0de);
         for (unsigned i = 0; i < numFaultSites; ++i)
             faultInjector().arm(static_cast<FaultSite>(i),
                                 FaultSpec::chance(0.02));
         Fleet::Config config = scaleTierFleet(true, 12);
         config.threads = threads;
-        config.slotPool = pooled;
-        Fleet fleet(config);
-        std::vector<std::uint64_t> record = scansBits(fleet.run());
-        for (unsigned i = 0; i < numFaultSites; ++i) {
-            const auto &s = faultInjector().siteStats(
-                static_cast<FaultSite>(i));
-            record.push_back(s.evaluations);
-            record.push_back(s.fires);
-        }
+        RunRecord record = recordRun(config);
         faultInjector().reset();
         return record;
     };
-    const auto baseline = runVariant(false, 1);
-    EXPECT_EQ(runVariant(true, 1), baseline);
-    EXPECT_EQ(runVariant(true, 4), baseline);
-    EXPECT_EQ(runVariant(true, 8), baseline);
+    const RunRecord baseline = runArmed(1);
+    for (const unsigned threads : {4u, 8u}) {
+        const RunRecord record = runArmed(threads);
+        EXPECT_EQ(record.values, baseline.values)
+            << "threads=" << threads;
+        EXPECT_EQ(record.spans, baseline.spans)
+            << "span drift, threads=" << threads;
+    }
 }
 
 // ---------------------------------------------------------------

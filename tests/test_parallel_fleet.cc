@@ -232,43 +232,38 @@ runOnce(const Fleet::Config &config)
     return record;
 }
 
-TEST(ParallelFleet, WorkloadOverrideNameMatchesDeprecatedEnum)
+TEST(ParallelFleet, WorkloadOverrideEnvMatchesField)
 {
-    // CTG_WORKLOAD / Config::workloadOverride is the one-release
-    // replacement for the enum-typed kindOverride: the string form
-    // (set directly or via the environment) must be bit-identical
-    // to the deprecated field, and an unrecognized name must warn
-    // and fall through to it rather than silently unpinning.
+    // CTG_WORKLOAD and Config::workloadOverride are two spellings of
+    // one knob: the environment form, picked up by the overlay, must
+    // be bit-identical to setting the field, and an unrecognized name
+    // must warn and leave the sampled mix in place rather than
+    // silently pin some kind.
     Fleet::Config config = smallFleet();
     config.servers = 4;
     config.maxUptimeSec = 4.0;
     config.threads = 2;
-
-    Fleet::Config byEnum = config;
-    byEnum.kindOverride = WorkloadKind::CacheB;
-    const RunRecord enumRun = runOnce(byEnum);
+    const RunRecord mixedRun = runOnce(config);
 
     Fleet::Config byName = config;
     byName.workloadOverride = "cache-b";
-    EXPECT_TRUE(runOnce(byName) == enumRun);
+    const RunRecord nameRun = runOnce(byName);
+    EXPECT_FALSE(nameRun == mixedRun);
 
-    // Environment spelling, picked up by the overlay.
     setenv("CTG_WORKLOAD", "cache-b", 1);
     Fleet::Config byEnv = config;
     byEnv.applyEnvOverlay();
     unsetenv("CTG_WORKLOAD");
     EXPECT_EQ(byEnv.workloadOverride, "cache-b");
-    EXPECT_TRUE(runOnce(byEnv) == enumRun);
+    EXPECT_TRUE(runOnce(byEnv) == nameRun);
+    EXPECT_EQ(fleetConfigFingerprint(byEnv),
+              fleetConfigFingerprint(byName));
 
-    // The string form wins over a conflicting deprecated enum.
-    Fleet::Config both = byName;
-    both.kindOverride = WorkloadKind::Web;
-    EXPECT_TRUE(runOnce(both) == enumRun);
-
-    // Unknown names warn and defer to the deprecated field.
-    Fleet::Config bad = byEnum;
+    Fleet::Config bad = config;
     bad.workloadOverride = "warehouse-scale";
-    EXPECT_TRUE(runOnce(bad) == enumRun);
+    EXPECT_TRUE(runOnce(bad) == mixedRun);
+    EXPECT_EQ(fleetConfigFingerprint(bad),
+              fleetConfigFingerprint(config));
 }
 
 TEST(ParallelFleet, KindOverridePinsEveryServer)
@@ -276,14 +271,14 @@ TEST(ParallelFleet, KindOverridePinsEveryServer)
     Fleet::Config config = smallFleet();
     config.servers = 4;
     config.maxUptimeSec = 4.0;
-    config.kindOverride = WorkloadKind::CacheB;
+    config.workloadOverride = "cache-b";
     config.threads = 2;
     Fleet fleet(config);
     const auto scans = fleet.run();
     EXPECT_EQ(scans.size(), 4u);
     // The override must not disturb the rest of the seed stream:
     // uptimes match the un-overridden fleet's draws.
-    config.kindOverride.reset();
+    config.workloadOverride.clear();
     Fleet mixed(config);
     const auto mixedScans = mixed.run();
     for (std::size_t i = 0; i < scans.size(); ++i)
