@@ -40,10 +40,11 @@ struct PopulationResult
     double meanFreeContiguity2m = 0.0;
     double meanUnmovableBlocks2m = 0.0;
     /** Frame-table footprint of a representative end-of-run server
-     * (meta + link columns + owner side table), per frame. */
+     * (meta + link columns), per frame. */
     double bytesPerFrame = 0.0;
-    /** Owner side-table entries per 1000 frames on that server. */
-    double sideEntriesPerKiloFrame = 0.0;
+    /** Allocated block heads per 1000 frames on that server: how
+     * finely its memory is cut into allocations. */
+    double allocHeadsPerKiloFrame = 0.0;
     /** Population size this result covers. */
     std::uint64_t servers = 0;
     /** Per-shard accounting (one entry when unsharded). */
@@ -96,8 +97,13 @@ probeFootprint(const Fleet &fleet, PopulationResult *out)
     const double n =
         static_cast<double>(server.kernel().mem().numFrames());
     out->bytesPerFrame = static_cast<double>(frames.bytesUsed()) / n;
-    out->sideEntriesPerKiloFrame =
-        1000.0 * static_cast<double>(frames.sideTableEntries()) / n;
+    std::uint64_t heads = 0;
+    for (Pfn pfn = 0; pfn < frames.size(); ++pfn) {
+        const auto f = frames.frame(pfn);
+        heads += !f.isFree() && f.isHead();
+    }
+    out->allocHeadsPerKiloFrame =
+        1000.0 * static_cast<double>(heads) / n;
 }
 
 PopulationResult
@@ -162,9 +168,9 @@ runPopulation(bool contiguitas, unsigned servers,
                   prefix, result.bytesPerFrame);
     *stats_json += line;
     std::snprintf(line, sizeof(line),
-                  "{\"name\":\"%s.side_entries_per_1k_frames\","
+                  "{\"name\":\"%s.alloc_heads_per_1k_frames\","
                   "\"kind\":\"gauge\",\"value\":%.3f}\n",
-                  prefix, result.sideEntriesPerKiloFrame);
+                  prefix, result.allocHeadsPerKiloFrame);
     *stats_json += line;
     for (std::size_t s = 0; s < result.shards.size(); ++s) {
         const ShardStats &shard = result.shards[s];
@@ -259,16 +265,16 @@ main(int argc, char **argv)
 
     Table table;
     table.header({"System", "free contig 2M", "unmov blocks 2M",
-                  "bytes/frame", "side entries/1k frames"});
+                  "bytes/frame", "alloc heads/1k frames"});
     table.row({"Linux", formatPercent(linux_pop.meanFreeContiguity2m),
                formatPercent(linux_pop.meanUnmovableBlocks2m),
                cell(linux_pop.bytesPerFrame, 2),
-               cell(linux_pop.sideEntriesPerKiloFrame, 1)});
+               cell(linux_pop.allocHeadsPerKiloFrame, 1)});
     table.row({"Contiguitas",
                formatPercent(ctg_pop.meanFreeContiguity2m),
                formatPercent(ctg_pop.meanUnmovableBlocks2m),
                cell(ctg_pop.bytesPerFrame, 2),
-               cell(ctg_pop.sideEntriesPerKiloFrame, 1)});
+               cell(ctg_pop.allocHeadsPerKiloFrame, 1)});
     table.print();
 
     std::printf("\nFrame table: %.2f bytes/frame worst case — "

@@ -73,6 +73,52 @@ BM_BuddyFallbackSteal(benchmark::State &state)
 }
 BENCHMARK(BM_BuddyFallbackSteal);
 
+/** The commonest failure on a loaded fleet server: an order-0
+ * movable request on a machine with nothing free, which must rule
+ * out its own lists and both fallback victims' lists. */
+void
+BM_BuddyAllocFailFull(benchmark::State &state)
+{
+    PhysMem mem(256_MiB);
+    BuddyAllocator buddy(mem, 0, mem.numFrames(), "bm");
+    while (buddy.allocPages(maxOrder, MigrateType::Movable,
+                            AllocSource::User) != invalidPfn) {
+    }
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(buddy.allocPages(
+            0, MigrateType::Movable, AllocSource::User));
+    }
+}
+BENCHMARK(BM_BuddyAllocFailFull);
+
+/** Random single-page allocs and frees, drifting around half of a
+ * 256 MiB machine: the alloc/free mix of a fine-stepped server. */
+void
+BM_BuddyOrder0Churn(benchmark::State &state)
+{
+    PhysMem mem(256_MiB);
+    BuddyAllocator buddy(mem, 0, mem.numFrames(), "bm");
+    const std::size_t target = mem.numFrames() / 2;
+    Rng rng(11);
+    std::vector<Pfn> held;
+    while (held.size() < target) {
+        held.push_back(buddy.allocPages(0, MigrateType::Movable,
+                                        AllocSource::User));
+    }
+    for (auto _ : state) {
+        if (rng.chance(held.size() < target ? 0.55 : 0.45)) {
+            held.push_back(buddy.allocPages(0, MigrateType::Movable,
+                                            AllocSource::User));
+        } else {
+            const std::size_t victim = rng.below(held.size());
+            buddy.freePages(held[victim]);
+            held[victim] = held.back();
+            held.pop_back();
+        }
+    }
+}
+BENCHMARK(BM_BuddyOrder0Churn);
+
 /** Shared rig for the contiguity read-path benchmarks: a 512 MiB
  * machine fragmented by 20k single-page allocations, ~10% unmovable.
  */

@@ -208,6 +208,8 @@ print(TraceFlag flag, const char *fmt, ...)
         std::snprintf(head, sizeof(head), "%s: ", flagName(flag));
     }
 
+    // A null format prints the bare record head, like an empty one.
+    const char *const body = fmt != nullptr ? fmt : "";
     std::va_list args;
     va_start(args, fmt);
     if (captureBuffer_ != nullptr) {
@@ -215,7 +217,7 @@ print(TraceFlag flag, const char *fmt, ...)
         std::va_list copy;
         va_copy(copy, args);
         const int need =
-            std::vsnprintf(stack, sizeof(stack), fmt, copy);
+            std::vsnprintf(stack, sizeof(stack), body, copy);
         va_end(copy);
         captureBuffer_->append(head);
         if (need >= 0 &&
@@ -224,7 +226,7 @@ print(TraceFlag flag, const char *fmt, ...)
         } else if (need >= 0) {
             std::string big(static_cast<std::size_t>(need) + 1,
                             '\0');
-            std::vsnprintf(big.data(), big.size(), fmt, args);
+            std::vsnprintf(big.data(), big.size(), body, args);
             big.resize(static_cast<std::size_t>(need));
             captureBuffer_->append(big);
         }
@@ -232,7 +234,7 @@ print(TraceFlag flag, const char *fmt, ...)
     } else {
         std::FILE *out = sink();
         std::fputs(head, out);
-        std::vfprintf(out, fmt, args);
+        std::vfprintf(out, body, args);
         std::fputc('\n', out);
     }
     va_end(args);

@@ -1,6 +1,7 @@
 #include "mem/buddy.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "base/serde.hh"
 #include "base/trace.hh"
@@ -26,6 +27,8 @@ mtIndex(MigrateType mt)
 {
     return static_cast<unsigned>(mt);
 }
+
+static_assert(maxOrder < 32, "nonEmpty_ holds one bit per order");
 
 } // namespace
 
@@ -91,6 +94,17 @@ BuddyAllocator::BuddyAllocator(PhysMem &mem, serde::Reader &in)
                 throw serde::Error(
                     "buddy: block count exceeds coverage");
         }
+    // The order masks are derived from the heads; a list with a head
+    // but no blocks (or blocks but no head) would make the mask lie.
+    for (unsigned mi = 0; mi < numMigrateTypes; ++mi)
+        for (unsigned o = 0; o <= maxOrder; ++o) {
+            const bool listed = heads_[mi][o] != FrameArray::nil;
+            if (listed != (blockCount_[mi][o] != 0))
+                throw serde::Error(
+                    "buddy: list head disagrees with block count");
+            if (listed)
+                nonEmpty_[mi] |= std::uint32_t{1} << o;
+        }
     Stats &s = stats_;
     for (std::uint64_t *field :
          {&s.allocCalls, &s.freeCalls, &s.splits, &s.merges,
@@ -140,6 +154,7 @@ BuddyAllocator::pushFree(Pfn head, unsigned order, MigrateType list_mt)
     if (list_head != FrameArray::nil)
         frames_.prev(list_head) = static_cast<std::uint32_t>(head);
     list_head = static_cast<std::uint32_t>(head);
+    nonEmpty_[mi] |= std::uint32_t{1} << order;
 
     freeCount_[mi] += std::uint64_t{1} << order;
     ++blockCount_[mi][order];
@@ -155,10 +170,13 @@ BuddyAllocator::removeFree(Pfn head)
 
     const std::uint32_t nxt = frames_.next(head);
     const std::uint32_t prv = frames_.prev(head);
-    if (prv != FrameArray::nil)
+    if (prv != FrameArray::nil) {
         frames_.next(prv) = nxt;
-    else
+    } else {
         heads_[mi][order] = nxt;
+        if (nxt == FrameArray::nil)
+            nonEmpty_[mi] &= ~(std::uint32_t{1} << order);
+    }
     if (nxt != FrameArray::nil)
         frames_.prev(nxt) = prv;
     frames_.next(head) = FrameArray::nil;
@@ -176,8 +194,7 @@ BuddyAllocator::popFree(MigrateType mt, unsigned order, AddrPref pref)
 {
     const unsigned mi = mtIndex(mt);
     std::uint32_t cursor = heads_[mi][order];
-    if (cursor == FrameArray::nil)
-        return invalidPfn;
+    ctg_assert(cursor != FrameArray::nil);
 
     Pfn best = cursor;
     if (pref != AddrPref::None) {
@@ -277,9 +294,9 @@ BuddyAllocator::markAllocated(Pfn head, unsigned order, MigrateType mt,
     for (Pfn pfn = head; pfn < head + count; ++pfn)
         frames_.frame(pfn).stampAllocated(order, mt, src,
                                           pfn == head);
-    // The cold fields live once per block in the side table, keyed
-    // by the head; member frames derive them through their order.
-    frames_.frame(head).setAllocInfo(owner, mem_.nowSeconds);
+    // The owner lives once per block, in the head's link slots;
+    // member frames derive it through their order.
+    frames_.frame(head).setOwner(owner);
     mem_.noteFramesChanged(head, head + count);
 }
 
@@ -301,10 +318,10 @@ BuddyAllocator::allocPages(unsigned order, MigrateType mt,
     }
 
     // Native path: smallest sufficient block of the requested type.
-    for (unsigned o = order; o <= maxOrder; ++o) {
+    const std::uint32_t wanted = ~((std::uint32_t{1} << order) - 1);
+    if (const std::uint32_t native = nonEmpty_[mtIndex(mt)] & wanted) {
+        const auto o = static_cast<unsigned>(std::countr_zero(native));
         const Pfn head = popFree(mt, o, pref);
-        if (head == invalidPfn)
-            continue;
         splitTo(head, o, order, mt);
         markAllocated(head, order, mt, src, owner);
         return head;
@@ -321,38 +338,34 @@ BuddyAllocator::allocPages(unsigned order, MigrateType mt,
     // type; otherwise the allocation pollutes a foreign pageblock —
     // the scattering mechanism of Section 2.5.
     for (const MigrateType victim : fallbackOrder[mtIndex(mt)]) {
-        for (int o = static_cast<int>(maxOrder);
-             o >= static_cast<int>(order); --o) {
-            const Pfn head =
-                popFree(victim, static_cast<unsigned>(o), pref);
-            if (head == invalidPfn)
-                continue;
-            ++stats_.fallbackAllocs;
-            CTG_DPRINTF(Buddy,
-                        "%s: fallback steal order %d from %s list "
-                        "for order-%u %s alloc at pfn %llu",
-                        name_.c_str(), o, migrateTypeName(victim),
-                        order, migrateTypeName(mt),
-                        static_cast<unsigned long long>(head));
-            const bool claim = claimSmallSteals_ ||
-                               static_cast<unsigned>(o) >= hugeOrder;
-            if (claim) {
-                // Stealing at pageblock granularity claims the
-                // block: retag it and keep the remainder on the new
-                // type's lists.
-                const Pfn span = Pfn{1} << static_cast<unsigned>(o);
-                for (Pfn p = head; p < head + span; p += pagesPerHuge)
-                    mem_.setBlockMt(p, mt);
-                ++stats_.pageblockSteals;
-            }
-            // A small dirty steal leaves the remainder with its
-            // owner, so the next foreign request falls back again
-            // somewhere else — the scattering mechanism.
-            splitTo(head, static_cast<unsigned>(o), order,
-                    claim ? mt : victim);
-            markAllocated(head, order, mt, src, owner);
-            return head;
+        const std::uint32_t avail = nonEmpty_[mtIndex(victim)] & wanted;
+        if (avail == 0)
+            continue;
+        const auto o = static_cast<unsigned>(std::bit_width(avail) - 1);
+        const Pfn head = popFree(victim, o, pref);
+        ++stats_.fallbackAllocs;
+        CTG_DPRINTF(Buddy,
+                    "%s: fallback steal order %u from %s list "
+                    "for order-%u %s alloc at pfn %llu",
+                    name_.c_str(), o, migrateTypeName(victim), order,
+                    migrateTypeName(mt),
+                    static_cast<unsigned long long>(head));
+        const bool claim = claimSmallSteals_ || o >= hugeOrder;
+        if (claim) {
+            // Stealing at pageblock granularity claims the block:
+            // retag it and keep the remainder on the new type's
+            // lists.
+            const Pfn span = Pfn{1} << o;
+            for (Pfn p = head; p < head + span; p += pagesPerHuge)
+                mem_.setBlockMt(p, mt);
+            ++stats_.pageblockSteals;
         }
+        // A small dirty steal leaves the remainder with its owner, so
+        // the next foreign request falls back again somewhere else —
+        // the scattering mechanism.
+        splitTo(head, o, order, claim ? mt : victim);
+        markAllocated(head, order, mt, src, owner);
+        return head;
     }
 
     ++stats_.failedAllocs;
@@ -693,13 +706,10 @@ BuddyAllocator::freeBlocks(MigrateType list_mt, unsigned order) const
 int
 BuddyAllocator::largestFreeOrder() const
 {
-    for (int o = static_cast<int>(maxOrder); o >= 0; --o) {
-        for (unsigned mi = 0; mi < numMigrateTypes; ++mi) {
-            if (blockCount_[mi][o] > 0)
-                return o;
-        }
-    }
-    return -1;
+    std::uint32_t any = 0;
+    for (const std::uint32_t mask : nonEmpty_)
+        any |= mask;
+    return static_cast<int>(std::bit_width(any)) - 1;
 }
 
 unsigned
@@ -755,6 +765,15 @@ BuddyAllocator::auditFreeLists(std::vector<std::string> &out) const
                     "block count mismatch mt=%u order=%u "
                     "(walked %llu, counter %llu)", mi, o,
                     static_cast<unsigned long long>(blocks),
+                    static_cast<unsigned long long>(
+                        blockCount_[mi][o])));
+            const bool listed = heads_[mi][o] != FrameArray::nil;
+            const bool masked = (nonEmpty_[mi] >> o) & 1;
+            if (masked != listed || listed != (blockCount_[mi][o] != 0))
+                report(detail::formatMessage(
+                    "order mask mismatch mt=%u order=%u (mask %d, "
+                    "head %d, counter %llu)", mi, o, int(masked),
+                    int(listed),
                     static_cast<unsigned long long>(
                         blockCount_[mi][o])));
         }

@@ -120,10 +120,7 @@ class PhysMem
 
     /** @} */
 
-    /** Wall-clock second used to stamp allocations (set by drivers). */
-    std::uint32_t nowSeconds = 0;
-
-    /** Serialize frames, links, pageblock tags and the clock. The
+    /** Serialize frames, links and pageblock tags. The
      * ContigIndex is deliberately NOT serialized: it is derived
      * state, rebuilt from the restored frames by a full resync in
      * loadFrom() (and cross-checked against a reference scan by the

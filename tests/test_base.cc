@@ -448,6 +448,28 @@ TEST(TraceSinkTest, FileSinkRedirectsDprintfOutput)
     std::remove(path.c_str());
 }
 
+TEST(TraceSinkTest, NullAndEmptyFormatsPrintBareRecords)
+{
+    // Called through a pointer so the printf-format check at the
+    // call site does not reject the null and empty formats.
+    void (*const print)(TraceFlag, const char *, ...) = &trace::print;
+    std::string captured;
+    {
+        trace::ThreadCapture capture;
+        print(TraceFlag::Buddy, nullptr);
+        print(TraceFlag::Buddy, "");
+        captured = capture.take();
+    }
+    // Two records, each the head alone (after any tick stamp).
+    const std::string record = "Buddy: \n";
+    const std::size_t first = captured.find(record);
+    ASSERT_NE(first, std::string::npos) << captured;
+    EXPECT_EQ(captured.find(record, first + 1) + record.size(),
+              captured.size())
+        << captured;
+    EXPECT_EQ(std::count(captured.begin(), captured.end(), '\n'), 2);
+}
+
 TEST(TraceSinkTest, OpenFileSinkFailureKeepsCurrentSink)
 {
     EXPECT_FALSE(
